@@ -88,9 +88,16 @@ def modinv(a: int, p: int) -> int:
 
 
 class PrimeField:
-    """Arithmetic modulo a word-sized prime, elements stored in [0, p)."""
+    """Arithmetic modulo a word-sized prime, elements stored in [0, p).
+
+    Also the coefficient ring of modular polynomials (``poly.GF``), next
+    to ``poly.QQ``: both offer coerce, add, sub, mul, neg, div, zero, one
+    and name.
+    """
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p.bit_length() > MAX_PRIME_BITS:
@@ -99,8 +106,12 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
+    @property
+    def name(self) -> str:
+        return f"GF({self.p})"
+
     def __repr__(self):
-        return f"PrimeField({self.p})"
+        return self.name
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -125,6 +136,9 @@ class PrimeField:
     def inv(self, a: int) -> int:
         return modinv(a, self.p)
 
+    def div(self, a: int, b: int) -> int:
+        return a * modinv(b, self.p) % self.p
+
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 
@@ -141,6 +155,8 @@ class PrimeField:
             return q.numerator * modinv(den, self.p) % self.p
         return q % self.p
 
+    coerce = reduce
+
 
 @dataclass(frozen=True)
 class CrtAccumulator:
@@ -152,9 +168,6 @@ class CrtAccumulator:
     @staticmethod
     def empty(length: int) -> "CrtAccumulator":
         return CrtAccumulator(1, (0,) * length)
-
-    def absorb(self, residues, p: int) -> "CrtAccumulator":
-        return crt_absorb(self, residues, p)
 
 
 def crt_absorb(acc: CrtAccumulator, residues, p: int) -> CrtAccumulator:

@@ -112,7 +112,7 @@ def document_polynomial(doc: dict) -> SparsePoly:
 def _print_human(doc: dict) -> None:
     print(f"f_min = {doc['f_min']}")
     print(f"order nu = {doc['nu']}")
-    print(f"terms = {len(doc['terms'])}   support bound size = {doc['support_size']}")
+    print(f"terms = {len(doc['terms'])}")
     primes = doc["primes_used"]
     print(f"primes used = {len(primes)}")
     ver = doc["verification"]
@@ -272,12 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         stream=sys.stderr,
         format="%(name)s: %(message)s",
     )
-    # order escalation/downshift notices are part of the cmd contract
-    logging.getLogger("odelim.interp").setLevel(logging.INFO)
+    # order escalation/downshift notices are part of the cmd contract;
+    # the per-run progress lines are debug-level and need -v
+    logging.getLogger("odelim.interp").setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         return args.func(args)
     except ParseError as exc:

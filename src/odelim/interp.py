@@ -3,14 +3,15 @@
 The pipeline, per prime p:
 
 1. sample integer points in [-R, R]^n (distinct, deterministic per seed);
-2. run the truncated power-series recurrence at all points simultaneously
-   to get the jet (x1, x1', ..., x1^(nu)) of every trajectory mod p;
+2. run the truncated power-series recurrence of ode.jet at all points
+   simultaneously to get the jet (x1, x1', ..., x1^(nu)) of every
+   trajectory mod p;
 3. evaluate every admissible monomial at every jet -> evaluation matrix N;
-4. eliminate left-to-right in graded-lex column order; the first pivotless
-   column is the leading monomial of the minimal relation and its kernel
-   vector is the relation itself mod p (degree filtration: a nontrivial
-   kernel appears first in the lowest total-degree stratum, and there it
-   must be one-dimensional).
+4. eliminate left-to-right in graded-lex column order (odelim.linalg);
+   the first pivotless column is the leading monomial of the minimal
+   relation and its kernel vector is the relation itself mod p (degree
+   filtration: a nontrivial kernel appears first in the lowest
+   total-degree stratum, and there it must be one-dimensional).
 
 Across primes, coefficient vectors are pinned to pivot = 1 at the shared
 leading monomial, combined by CRT and rationally reconstructed; the run
@@ -31,21 +32,24 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .arith import (
     CrtAccumulator,
+    PrimeField,
     crt_absorb,
     fork_rng,
     random_prime,
     rational_reconstruct,
 )
 from .errors import BadPrimeError, ComputationError, KernelAnomalyError
-from .ode import OdeSystem, order_nu
-from .poly import GF, QQ, SparsePoly, VarSpace
+from .linalg import _echelon, _kernel_vector, _moddot
+from .ode import OdeSystem, jet, order_nu
+from .poly import QQ, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
 
 log = logging.getLogger("odelim.interp")
@@ -54,8 +58,7 @@ log = logging.getLogger("odelim.interp")
 # primes fall back to exact big-integer (object dtype) arithmetic
 _INT64_PRIME_BITS = 30
 _POINT_RETRIES = 3       # point redraws per prime before giving up on it
-_ANOMALY_PRIMES = 2      # anomalous primes in a row before doubting the order
-_FIRST_PHASE_TRIES = 4   # full-support primes tried before declaring anomaly
+_ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PROBE_TRIES = 4         # probe primes skipped due to denominator collisions
 
@@ -168,98 +171,20 @@ def _draw_points(rng, count: int, n: int, radius: int):
 
 
 # ---------------------------------------------------------------------------
-# batch jets and matrix assembly
-
-
-def _dtype_for(p: int):
-    return np.int64 if p < (1 << _INT64_PRIME_BITS) else object
-
-
-def _series_mul_arrays(a, b, length, p):
-    """Truncated product of two series whose coefficients are point-arrays."""
-    out = []
-    for l in range(length):
-        acc = None
-        for i in range(l + 1):
-            if i >= len(a) or l - i >= len(b):
-                continue
-            prod = a[i] * b[l - i] % p
-            acc = prod if acc is None else (acc + prod) % p
-        if acc is None:
-            acc = np.zeros_like(a[0])
-        out.append(acc)
-    return out
-
-
-def _batch_jets(sys_p: OdeSystem, pts: np.ndarray, nu: int, p: int):
-    """Jets j_0..j_nu of x1 at every sample point at once.
-
-    pts is an (m, n) array already reduced mod p.  Returns a list of nu+1
-    arrays of length m.  Same recurrence as ode.jet, vectorized over the
-    point index.
-    """
-    m, n = pts.shape
-    dtype = _dtype_for(p)
-    if dtype is object:
-        pts = np.array([[int(v) for v in row] for row in pts], dtype=object)
-    series = [[pts[:, i].astype(dtype, copy=True)] for i in range(n)]
-    maxe = [0] * n
-    for q in sys_p.g:
-        for i, e in enumerate(q.max_exponents()):
-            maxe[i] = max(maxe[i], e)
-    one = np.ones(m, dtype=dtype) if dtype is not object else np.array([1] * m, dtype=object)
-    zero = np.zeros(m, dtype=dtype) if dtype is not object else np.array([0] * m, dtype=object)
-
-    for k in range(nu):
-        length = k + 1
-        unit = [one] + [zero] * (length - 1)
-        tables = []
-        for i in range(n):
-            cur = series[i][:length]
-            pows = [unit]
-            for _ in range(maxe[i]):
-                pows.append(_series_mul_arrays(pows[-1], cur, length, p))
-            tables.append(pows)
-        inv_step = pow(k + 1, p - 2, p)
-        for i in range(n):
-            acc = zero.copy()
-            for exps, c in sys_p.g[i].terms.items():
-                term = None
-                for v, e in enumerate(exps):
-                    if e:
-                        term = (
-                            tables[v][e]
-                            if term is None
-                            else _series_mul_arrays(term, tables[v][e], length, p)
-                        )
-                if term is None:  # constant term: only contributes at t^0
-                    tail = one if length == 1 else zero
-                else:
-                    tail = term[length - 1]
-                acc = (acc + c * tail) % p
-            series[i].append(acc * inv_step % p)
-
-    jets = []
-    fact = 1
-    for k in range(nu + 1):
-        if k:
-            fact = fact * k % p
-        jets.append(series[0][k] * fact % p)
-    return jets
+# matrix assembly
 
 
 def _eval_matrix(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
     p = sys_p.ring.p
-    dtype = _dtype_for(p)
-    pts = np.array(points, dtype=np.int64 if dtype is not object else object)
-    pts = pts % p
+    dtype = np.int64 if p < (1 << _INT64_PRIME_BITS) else object
+    pts = np.array(points, dtype=dtype)
     m = pts.shape[0]
-    jets = _batch_jets(sys_p, pts, S.nu, p)
+    jets = jet(sys_p, pts.T, S.nu)
     maxe = [0] * (S.nu + 1)
     for e in S.points:
         for k, ek in enumerate(e):
             maxe[k] = max(maxe[k], ek)
-    one = np.ones(m, dtype=dtype) if dtype is not object else np.array([1] * m, dtype=object)
+    one = np.ones(m, dtype=dtype)
     pow_tables = []
     for k in range(S.nu + 1):
         row = [one]
@@ -278,109 +203,17 @@ def _eval_matrix(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
 
 def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
     """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point)."""
-    if not isinstance(sys_p.ring, GF):
+    if not isinstance(sys_p.ring, PrimeField):
         raise ValueError("assemble expects a system reduced modulo a prime")
     if len(points) < len(S.points):
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
         )
-    if sys_p.ring.p <= S.nu:
-        raise BadPrimeError(f"prime {sys_p.ring.p} must exceed the order {S.nu}")
     return _eval_matrix(sys_p, S, points)
 
 
 # ---------------------------------------------------------------------------
-# modular linear algebra
-
-
-def _moddot(a, b, p: int) -> int:
-    """Exact dot product mod p of 1-d arrays with entries in [0, p)."""
-    if len(a) == 0:
-        return 0
-    if a.dtype == object or b.dtype == object:
-        return int(sum(int(x) * int(y) for x, y in zip(a, b)) % p)
-    # keep partial sums inside int64: each product is < p^2
-    block = max(1, (1 << 62) // ((p - 1) ** 2 + 1))
-    if len(a) <= block:
-        return int(np.dot(a, b) % p)
-    total = 0
-    for i in range(0, len(a), block):
-        total = (total + int(np.dot(a[i : i + block], b[i : i + block]))) % p
-    return total
-
-
-def _echelon(W: np.ndarray, p: int, degrees=None):
-    """In-place left-to-right forward elimination mod p.
-
-    Returns (pivots, free_cols, processed).  Pivot rows end up reduced mod
-    p with unit pivots and zeros to their left.  With ``degrees`` given
-    (nondecreasing per column), elimination stops after finishing the
-    degree stratum that contains the first pivotless column, which is all
-    the degree filtration needs.
-
-    For primes below 2^30 the update keeps raw int64 entries and reduces
-    the trailing block only every few thousand steps (each step adds at
-    most (p-1)^2 in magnitude, so the reduction interval keeps everything
-    inside the 2^62 range).
-    """
-    rows, cols = W.shape
-    if W.dtype == object:
-        interval = 1
-    else:
-        interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
-    pivots = []
-    free = []
-    stop_degree = None
-    rank = 0
-    steps = 0
-    processed = cols
-    for c in range(cols):
-        if degrees is not None and free and degrees[c] != stop_degree:
-            processed = c
-            break
-        W[rank:, c] %= p
-        nz = np.nonzero(W[rank:, c])[0]
-        if nz.size == 0:
-            free.append(c)
-            if stop_degree is None and degrees is not None:
-                stop_degree = degrees[c]
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            W[[rank, r]] = W[[r, rank]]
-        row = W[rank] % p
-        inv = pow(int(row[c]), p - 2, p)
-        row = row * inv % p
-        W[rank] = row
-        if rank + 1 < rows:
-            factors = W[rank + 1 :, c].copy()
-            if np.count_nonzero(factors):
-                W[rank + 1 :, c:] -= np.outer(factors, row[c:])
-                steps += 1
-                if steps >= interval:
-                    W[rank + 1 :, c:] %= p
-                    steps = 0
-        rank += 1
-        pivots.append(c)
-    return pivots, free, processed
-
-
-def _kernel_vector(W: np.ndarray, p: int, pivots, free_col: int):
-    """Back-substitute the kernel vector with a 1 at ``free_col``.
-
-    Works on the echelon form produced by _echelon; only pivot columns
-    left of free_col can be nonzero, so the vector is supported on the
-    prefix [0, free_col].
-    """
-    vec = np.zeros(free_col + 1, dtype=W.dtype)
-    vec[free_col] = 1
-    for t in reversed(range(len(pivots))):
-        j = pivots[t]
-        if j >= free_col:
-            continue
-        s = _moddot(W[t, j + 1 : free_col + 1], vec[j + 1 :], p)
-        vec[j] = (-s) % p
-    return vec
+# kernels (the elimination itself lives in linalg)
 
 
 def nullspace(N: EvalMatrix):
@@ -393,14 +226,11 @@ def nullspace(N: EvalMatrix):
     pivots, free, _ = _echelon(W, p)
     basis = []
     for f in free:
-        vec = _kernel_vector(W, p, [j for j in pivots if j < f], f)
-        full = np.zeros(N.cols, dtype=W.dtype)
-        full[: f + 1] = vec
-        nz = np.nonzero(full)[0]
-        lead = int(full[nz[0]])
+        vec = _kernel_vector(W, p, pivots, f)
+        lead = int(vec[np.nonzero(vec)[0][0]])
         if lead != 1:
-            full = full * pow(lead, p - 2, p) % p
-        basis.append(tuple(int(v) for v in full))
+            vec = vec * pow(lead, p - 2, p) % p
+        basis.append(tuple(int(v) for v in vec))
     return basis
 
 
@@ -429,15 +259,32 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
             f"{len(free)}-dimensional kernel in the degree-{degrees[free[0]]} "
             f"stratum; expected dimension 1"
         )
-    f = free[0]
-    vec = _kernel_vector(W, p, pivots, f)
-    full = np.zeros(N.cols, dtype=W.dtype)
-    full[: f + 1] = vec
-    return tuple(int(v) for v in full)
+    return tuple(int(v) for v in _kernel_vector(W, p, pivots, free[0]))
 
 
 # ---------------------------------------------------------------------------
 # per-prime pipeline
+
+
+def _sampled_kernel(
+    sys: OdeSystem, p: int, S: LatticeSet, rows: int, config: SampleConfig, label: str
+):
+    """minimal_element of an evaluation matrix on ``rows`` fresh points mod p.
+
+    The points come from the ``label`` fork of the seed.  An anomalous
+    kernel redraws them; a persistent anomaly propagates as
+    KernelAnomalyError.
+    """
+    sys_p = sys.reduce_mod(p)
+    for attempt in range(_POINT_RETRIES):
+        rng = fork_rng(config.seed, label, str(p), str(attempt))
+        points = _draw_points(rng, rows, sys.n, config.radius)
+        try:
+            return minimal_element(_eval_matrix(sys_p, S, points), S)
+        except KernelAnomalyError as exc:
+            anomaly = exc
+            log.debug("%s solve, prime %d attempt %d: %s", label, p, attempt, exc)
+    raise anomaly
 
 
 def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig):
@@ -447,32 +294,14 @@ def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig)
     kernel element and their values mod p — or None when the kernel is
     empty (the assumed order is too small).  Retries with fresh points
     when the degree filtration reports an anomalous kernel; a persistent
-    anomaly propagates as KernelAnomalyError.
+    anomaly propagates as KernelAnomalyError; a prime not above the order
+    raises BadPrimeError.
     """
-    if p <= S.nu:
-        raise BadPrimeError(f"prime {p} must exceed the order {S.nu}")
-    sys_p = sys.reduce_mod(p)
-    last_anomaly = None
-    for attempt in range(_POINT_RETRIES):
-        rng = fork_rng(config.seed, "points", str(p), str(attempt))
-        points = _draw_points(rng, len(S.points), sys.n, config.radius)
-        N = _eval_matrix(sys_p, S, points)
-        try:
-            vec = minimal_element(N, S)
-        except KernelAnomalyError as exc:
-            last_anomaly = exc
-            log.debug("prime %d attempt %d: %s", p, attempt, exc)
-            continue
-        if vec is None:
-            return None
-        support = []
-        coeffs = []
-        for mono, value in zip(S.points, vec):
-            if value:
-                support.append(mono)
-                coeffs.append(value)
-        return tuple(support), tuple(coeffs)
-    raise last_anomaly
+    vec = _sampled_kernel(sys, p, S, len(S.points), config, "points")
+    if vec is None:
+        return None
+    support = tuple(mono for mono, value in zip(S.points, vec) if value)
+    return support, tuple(value for value in vec if value)
 
 
 def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleConfig):
@@ -482,37 +311,22 @@ def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleCo
     monomial), None for an empty kernel (bad first-prime support), or the
     string "badlead" when this prime divides the leading coefficient.
     """
-    Sx = LatticeSet(nu, tuple(support))
-    sys_p = sys.reduce_mod(p)
     rows = len(support) + config.extra_rows
-    last_anomaly = None
-    for attempt in range(_POINT_RETRIES):
-        rng = fork_rng(config.seed, "shrunk", str(p), str(attempt))
-        points = _draw_points(rng, rows, sys.n, config.radius)
-        N = _eval_matrix(sys_p, Sx, points)
-        try:
-            vec = minimal_element(N, Sx)
-        except KernelAnomalyError as exc:
-            last_anomaly = exc
-            log.debug("shrunk solve, prime %d attempt %d: %s", p, attempt, exc)
-            continue
-        if vec is None:
-            return None
-        if vec[-1] == 0:
-            # the relation exists mod p but its leading coefficient vanished:
-            # p divides the true leading coefficient; skip this prime
-            return "badlead"
-        return vec
-    raise last_anomaly
+    vec = _sampled_kernel(sys, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
+    if vec is not None and vec[-1] == 0:
+        # the relation exists mod p but its leading coefficient vanished:
+        # p divides the true leading coefficient; skip this prime
+        return "badlead"
+    return vec
 
 
 def _probe_membership(sys, nu, support, rationals, config, fresh_prime) -> bool:
     """Check sum_i c_i s_i(jet) = 0 at fresh points over a fresh prime."""
     for _ in range(_PROBE_TRIES):
         p = fresh_prime()
-        field = GF(p)
+        field = PrimeField(p)
         try:
-            coeffs = [field.coerce(q) for q in rationals]
+            coeffs = [field.reduce(q) for q in rationals]
         except BadPrimeError:
             continue  # prime divides a denominator; take another
         sys_p = sys.reduce_mod(p)
@@ -608,10 +422,9 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
 
     Returns ("ok", EliminationResult) | ("empty", None) | ("anomaly", None).
     """
-    n = sys.n
-    bound = scalar_bound(sys.d) if n == 1 else bound_inequalities(sys.d, sys.D, nu)
+    bound = scalar_bound(sys.d) if sys.n == 1 else bound_inequalities(sys.d, sys.D, nu)
     S = enumerate_lattice(bound)
-    log.info("order %d: support bound has %d monomials", nu, len(S.points))
+    log.debug("order %d: support bound has %d monomials", nu, len(S.points))
 
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
@@ -624,142 +437,75 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 used_primes.add(p)
                 return p
 
-    # --- first phase: full-bound solve to discover the support -------------
-    support = None
-    first = None
-    anomalies = 0
-    for _ in range(_FIRST_PHASE_TRIES):
-        p = fresh_prime()
-        try:
-            res = eliminate_mod_p(sys, p, S, config)
-        except KernelAnomalyError:
-            anomalies += 1
-            if anomalies >= _ANOMALY_PRIMES:
-                return "anomaly", None
-            continue
-        if res is None:
-            return "empty", None
-        support, coeffs = res
-        first = (p, coeffs)
-        break
-    if first is None:
+    # first phase: the full bound at one prime reveals the support
+    found = _agreed_support(sys, S, config, fresh_prime, 1, _ANOMALY_PRIMES)
+    if found is None:
         return "anomaly", None
-    log.info(
+    if found == "empty":
+        return "empty", None
+    support, entries = found
+    log.debug(
         "order %d: support shrunk from %d to %d monomials (prime %d)",
         nu,
         len(S.points),
         len(support),
-        first[0],
+        entries[0][0],
     )
 
-    # --- CRT phase on the shrunk support ------------------------------------
-    pivot_inv = pow(first[1][-1], first[0] - 2, first[0])
-    normalized = tuple(c * pivot_inv % first[0] for c in first[1])
-    acc = crt_absorb(CrtAccumulator.empty(len(support)), normalized, first[0])
-    primes_used = [first[0]]
-    previous = None
+    # CRT phase on the shrunk support.  `pending` holds a call returning
+    # the solve of each drawn prime; up to `threads` solves run ahead in
+    # the pool, and their results are taken in the order their primes were
+    # drawn, so the run is the same for every thread count.  With one
+    # thread each solve runs here when its turn comes: on a 2-core machine
+    # a one-worker pool made ~10 ms solves about 25 % slower (a thread
+    # handoff per prime) and raised the peak memory of 1292-column solves
+    # from 75 to 88 MB (the worker allocates from a malloc arena of its own).
     threads = config.effective_threads
-
-    def restart_consensus():
-        """First-prime support was wrong: find two primes that agree."""
-        seen = {}
-        for _ in range(_RESTART_TRIES):
-            p = fresh_prime()
-            try:
-                res = eliminate_mod_p(sys, p, S, config)
-            except KernelAnomalyError:
-                continue
-            if res is None:
-                return "empty"
-            sup, coeffs = res
-            if sup in seen:
-                q, qcoeffs = seen[sup]
-                log.info(
-                    "consensus restart: primes %d and %d agree on %d monomials",
-                    q,
-                    p,
-                    len(sup),
-                )
-                return sup, [(q, qcoeffs), (p, coeffs)]
-            seen[sup] = (p, coeffs)
-        raise ComputationError(
-            "no two primes agree on the support; the sampling radius or "
-            "prime size is likely too small"
-        )
-
-    def absorb(vector, p):
-        nonlocal acc
-        acc = crt_absorb(acc, vector, p)
-        primes_used.append(p)
-
-    def reconstruct():
-        out = []
-        for r in acc.residues:
-            q = rational_reconstruct(r, acc.modulus)
-            if q is None:
-                return None
-            out.append(q)
-        return out
-
-    def finish(rationals) -> EliminationResult:
-        terms = {mono: q for mono, q in zip(support, rationals) if q}
-        f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
-        log.info(
-            "stabilized after %d primes; support size %d", len(primes_used), len(f.terms)
-        )
-        return EliminationResult(
-            f_min=f,
-            nu=nu,
-            primes_used=tuple(primes_used),
-            support_size=len(f.terms),
-            verified=Verification(),
-        )
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ThreadPoolExecutor(max_workers=threads)
+    defer = partial if threads == 1 else lambda *call: pool.submit(*call).result
     try:
+        acc, primes_used = _accumulate(entries)
+        previous = None
         pending = []
         while len(primes_used) < config.max_primes:
-            if pool is not None:
-                while len(pending) < threads:
-                    pnext = fresh_prime()
-                    pending.append(
-                        (pnext, pool.submit(_solve_on_support, sys, pnext, support, nu, config))
-                    )
-                p, fut = pending.pop(0)
-                try:
-                    solved = fut.result()
-                except KernelAnomalyError:
-                    solved = "anomaly"
-            else:
-                p = fresh_prime()
-                try:
-                    solved = _solve_on_support(sys, p, support, nu, config)
-                except KernelAnomalyError:
-                    solved = "anomaly"
-
+            while len(pending) < threads:
+                q = fresh_prime()
+                pending.append((q, defer(_solve_on_support, sys, q, support, nu, config)))
+            p, solve = pending.pop(0)
+            try:
+                solved = solve()
+            except KernelAnomalyError:
+                log.warning("prime %d: anomalous shrunk kernel, skipped", p)
+                continue
             if solved is None:
+                # the first prime's support was wrong: find two primes that agree
                 log.warning("prime %d: empty kernel on shrunk support, restarting", p)
-                outcome = restart_consensus()
-                if outcome == "empty":
+                found = _agreed_support(sys, S, config, fresh_prime, 2, _RESTART_TRIES)
+                if found is None:
+                    raise ComputationError(
+                        "no two primes agree on the support; the sampling radius or "
+                        "prime size is likely too small"
+                    )
+                if found == "empty":
                     return "empty", None
-                support, entries = outcome
-                acc = CrtAccumulator.empty(len(support))
-                primes_used = []
+                support, entries = found
+                log.debug(
+                    "consensus restart: primes %d and %d agree on %d monomials",
+                    entries[0][0],
+                    entries[1][0],
+                    len(support),
+                )
+                acc, primes_used = _accumulate(entries)
                 previous = None
-                for q, coeffs in entries:
-                    inv = pow(coeffs[-1], q - 2, q)
-                    absorb(tuple(c * inv % q for c in coeffs), q)
                 pending = []
                 continue
             if solved == "badlead":
-                log.info("prime %d divides the leading coefficient, skipped", p)
-                continue
-            if solved == "anomaly":
-                log.warning("prime %d: anomalous shrunk kernel, skipped", p)
+                log.debug("prime %d divides the leading coefficient, skipped", p)
                 continue
 
-            absorb(solved, p)
-            current = reconstruct()
+            acc = crt_absorb(acc, solved, p)
+            primes_used.append(p)
+            current = _reconstruct(acc)
             log.debug(
                 "prime %d absorbed (%d primes, reconstruction %s)",
                 p,
@@ -768,7 +514,19 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             )
             if current is not None and current == previous:
                 if _probe_membership(sys, nu, support, current, config, fresh_prime):
-                    return "ok", finish(current)
+                    terms = {mono: q for mono, q in zip(support, current) if q}
+                    f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
+                    log.debug(
+                        "stabilized after %d primes; support size %d",
+                        len(primes_used),
+                        len(f.terms),
+                    )
+                    return "ok", EliminationResult(
+                        f_min=f,
+                        nu=nu,
+                        primes_used=tuple(primes_used),
+                        support_size=len(f.terms),
+                    )
                 log.warning("membership probe failed; continuing with more primes")
             previous = current
         raise ComputationError(
@@ -776,5 +534,53 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             f"increase max_primes or prime_bits"
         )
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _agreed_support(
+    sys: OdeSystem, S: LatticeSet, config: SampleConfig, fresh_prime, need: int, tries: int
+):
+    """Full-bound solves at fresh primes until ``need`` agree on the support.
+
+    Returns (support, [(p, coefficients), ...]) with the agreeing primes
+    in draw order, "empty" for an empty kernel (the order is too small),
+    or None when ``tries`` primes gave no agreement.  Primes whose kernel
+    stays anomalous count as tries.
+    """
+    seen = {}
+    for _ in range(tries):
+        p = fresh_prime()
+        try:
+            res = eliminate_mod_p(sys, p, S, config)
+        except KernelAnomalyError:
+            continue
+        if res is None:
+            return "empty"
+        support, coeffs = res
+        seen.setdefault(support, []).append((p, coeffs))
+        if len(seen[support]) == need:
+            return support, seen[support]
+    return None
+
+
+def _accumulate(entries):
+    """CRT accumulator and prime list of (prime, coefficients) pairs.
+
+    Each vector is first pinned to 1 at its last (leading) monomial.
+    """
+    acc = CrtAccumulator.empty(len(entries[0][1]))
+    for p, coeffs in entries:
+        inv = pow(coeffs[-1], p - 2, p)
+        acc = crt_absorb(acc, tuple(c * inv % p for c in coeffs), p)
+    return acc, [p for p, _ in entries]
+
+
+def _reconstruct(acc: CrtAccumulator):
+    """Rational reconstruction of every residue, or None if one fails."""
+    out = []
+    for r in acc.residues:
+        q = rational_reconstruct(r, acc.modulus)
+        if q is None:
+            return None
+        out.append(q)
+    return out

@@ -9,16 +9,20 @@ The three operators around which everything else is built:
 
 together with Monte-Carlo detection of the minimal differential order and
 truncated power-series ("jet") evaluation of trajectories over a prime
-field.  R is the bridge between differential polynomials in x1 and plain
-polynomials on phase space: F vanishes along every trajectory of the
-system exactly when R(F) = 0.
+field, at one point or at a batch of points at once.  R is the bridge
+between differential polynomials in x1 and plain polynomials on phase
+space: F vanishes along every trajectory of the system exactly when
+R(F) = 0.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .arith import BadPrimeError, PrimeField, fork_rng, random_prime
 from .errors import BudgetExceededError, ParseError
-from .poly import GF, QQ, SparsePoly, VarSpace, _ExprParser, _tokenize
+from .linalg import _echelon
+from .poly import QQ, SparsePoly, VarSpace, _ExprParser, _tokenize
 
 
 class OdeSystem:
@@ -56,7 +60,7 @@ class OdeSystem:
 
     def reduce_mod(self, p) -> "OdeSystem":
         """The same system with coefficients reduced into GF(p)."""
-        ring = p if isinstance(p, GF) else GF(p)
+        ring = p if isinstance(p, PrimeField) else PrimeField(p)
         return OdeSystem([q.map_to(ring) for q in self.g])
 
     def render(self) -> str:
@@ -246,112 +250,73 @@ def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:
     best = 0
     for _ in range(reps):
         p = random_prime(62, rng)
-        field = GF(p)
+        field = PrimeField(p)
         point = [rng.randrange(p) for _ in range(n)]
         matrix = [[entry.map_to(field).evaluate(point) for entry in row] for row in jac]
-        best = max(best, _rank_mod_p(matrix, p))
+        pivots, _, _ = _echelon(np.array(matrix, dtype=object), p)
+        best = max(best, len(pivots))
         if best == n:
             break
     return best
-
-
-def _rank_mod_p(matrix, p: int) -> int:
-    """Rank of a small dense integer matrix over GF(p)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][c] % p), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c] % p:
-                factor = m[r][c] % p
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
 # jets
 
 
-def jet(sys: OdeSystem, base, nu: int) -> list[int]:
+def jet(sys: OdeSystem, base, nu: int) -> list:
     """Jet (j_0, ..., j_nu) of x1 along the trajectory through ``base``.
 
-    The system must already be reduced mod p.  The trajectory is computed
-    as a truncated power series by the coefficient recurrence — knowing
-    x(t) mod t^k, the relation x' = g(x) yields the t^k coefficient — and
+    The system must already be reduced mod p.  ``base`` gives one value per
+    variable: an int, or a numpy array of point values (int64 for p < 2^30,
+    object dtype above), in which case every returned j_k is an array of
+    the jets at all those points.  The trajectory is computed as a
+    truncated power series by the coefficient recurrence — knowing x(t)
+    mod t^k, the relation x' = g(x) yields the t^k coefficient — and
     j_k = k! * [t^k] x1(t), which equals R(x1^(k)) evaluated at the base
-    point without ever expanding R symbolically.
+    point without ever expanding R symbolically.  Every product is reduced
+    mod p, so int64 arrays stay exact at any order.
     """
-    if not isinstance(sys.ring, GF):
+    if not isinstance(sys.ring, PrimeField):
         raise ValueError("jets are computed modulo a prime; reduce the system first")
     p = sys.ring.p
     if p <= nu:
         raise BadPrimeError(f"prime {p} must exceed the jet order {nu}")
     if nu < 0:
         raise ValueError("jet order must be nonnegative")
-    n = sys.n
-    series = [[sys.ring.coerce(b)] for b in base]
-    if len(series) != n:
-        raise ValueError(f"base point has {len(series)} coordinates, expected {n}")
+    series = [[b % p] for b in base]
+    if len(series) != sys.n:
+        raise ValueError(f"base point has {len(series)} coordinates, expected {sys.n}")
+    zero = series[0][0] * 0  # 0, or zeros shaped like the base arrays
+    maxe = [max(col) for col in zip(*(q.max_exponents() for q in sys.g))]
     for k in range(nu):
-        length = k + 1
-        tables = _series_power_tables(sys, series, length, p)
-        for i in range(n):
-            coeff = _series_eval_coeff(sys.g[i], tables, length, p)
-            series[i].append(coeff * pow(k + 1, p - 2, p) % p)
+        # powers[v][e] = x_v(t)^e mod t^(k+1)
+        unit = [zero + 1] + [zero] * k
+        powers = []
+        for s, e in zip(series, maxe):
+            table = [unit]
+            for _ in range(e):
+                table.append(_truncated_product(table[-1], s, p))
+            powers.append(table)
+        inv = pow(k + 1, p - 2, p)
+        for i, q in enumerate(sys.g):
+            acc = zero
+            for exps, c in q.terms.items():
+                factors = [powers[v][e] for v, e in enumerate(exps) if e]
+                term = factors[0] if factors else unit
+                for f in factors[1:]:
+                    term = _truncated_product(term, f, p)
+                acc = (acc + c * term[k]) % p
+            series[i].append(acc * inv % p)
     out = []
     fact = 1
-    for k in range(nu + 1):
+    for k, coeff in enumerate(series[0]):
         if k:
             fact = fact * k % p
-        out.append(series[0][k] * fact % p)
+        out.append(coeff * fact % p)
     return out
 
 
-def _series_power_tables(sys, series, length, p):
-    """Per-variable truncated powers of the current series, mod t^length."""
-    maxe = [0] * sys.n
-    for q in sys.g:
-        for i, e in enumerate(q.max_exponents()):
-            if e > maxe[i]:
-                maxe[i] = e
-    tables = []
-    one = [1] + [0] * (length - 1)
-    for i in range(sys.n):
-        row = [one]
-        cur = series[i][:length] + [0] * (length - len(series[i]))
-        for _ in range(maxe[i]):
-            row.append(_series_mul(row[-1], cur, length, p))
-        tables.append(row)
-    return tables
-
-
-def _series_mul(a, b, length, p):
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(min(len(b), length - i)):
-                if b[j]:
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-    return out
-
-
-def _series_eval_coeff(poly, tables, length, p):
-    """Coefficient of t^(length-1) in poly evaluated at the tabled series."""
-    total = 0
-    for exps, c in poly.terms.items():
-        term = [c % p] + [0] * (length - 1)
-        for i, e in enumerate(exps):
-            if e:
-                term = _series_mul(term, tables[i][e], length, p)
-        total = (total + term[length - 1]) % p
-    return total
+def _truncated_product(a, b, p: int) -> list:
+    """Product of two power series mod t^len(a), coefficients reduced mod p."""
+    return [sum(a[i] * b[l - i] % p for i in range(l + 1)) % p for l in range(len(a))]

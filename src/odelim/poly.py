@@ -79,47 +79,8 @@ class RationalRing:
 QQ = RationalRing()
 
 
-class GF:
-    """Coefficients in a prime field, stored as plain ints in [0, p)."""
-
-    def __init__(self, p):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
-        self.p = self.field.p
-        self.zero = 0
-        self.one = 1 % self.p
-
-    @property
-    def name(self):
-        return f"GF({self.p})"
-
-    def coerce(self, c):
-        return self.field.reduce(c)
-
-    def add(self, a, b):
-        r = a + b
-        return r - self.p if r >= self.p else r
-
-    def sub(self, a, b):
-        r = a - b
-        return r + self.p if r < 0 else r
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def div(self, a, b):
-        return a * self.field.inv(b) % self.p
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+# coefficients in a prime field, stored as plain ints in [0, p)
+GF = PrimeField
 
 
 # ---------------------------------------------------------------------------

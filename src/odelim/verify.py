@@ -49,8 +49,9 @@ def check_probabilistic(
     Each trial draws a fresh prime p and a uniform point of GF(p)^n; the
     substituted polynomial has total degree at most deg F times the worst
     iterated-derivative degree, so a nonzero F slips through one trial
-    with probability at most that degree over p.  The report carries the
-    summed union bound explicitly.
+    with probability at most that degree over p.  A trial whose prime
+    divides a denominator of F is skipped; the report counts only the
+    executed trials and carries their summed union bound explicitly.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
@@ -58,10 +59,11 @@ def check_probabilistic(
     if nu > sys.n:
         raise ValueError(f"order {nu} exceeds the dimension {sys.n}")
     if F.is_zero:
-        return VerificationReport("probabilistic", trials, Fraction(0), True)
+        return VerificationReport("probabilistic", 0, Fraction(0), True)
     degree_cap = max(F.total_degree(), 0) * _degree_growth(sys, nu)
     rng = fork_rng(seed, "verify")
     bound = Fraction(0)
+    executed = 0
     outcome = True
     for _ in range(trials):
         while True:
@@ -71,15 +73,16 @@ def check_probabilistic(
         try:
             Fp = F.map_to(GF(p))
         except BadPrimeError:
-            continue  # denominator collision; the trial is skipped silently
+            continue  # denominator collision: the trial is not executed
         sys_p = sys.reduce_mod(p)
         point = [rng.randrange(p) for _ in range(sys.n)]
         values = jet(sys_p, point, nu)
+        executed += 1
         bound += Fraction(degree_cap, p)
         if Fp.evaluate(values) != 0:
             outcome = False
             break
-    return VerificationReport("probabilistic", trials, min(bound, Fraction(1)), outcome)
+    return VerificationReport("probabilistic", executed, min(bound, Fraction(1)), outcome)
 
 
 def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGET) -> VerificationReport:

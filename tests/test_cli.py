@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,31 @@ def test_cmd_eliminate_harmonic(tmp_path, capsys):
     assert cli.main(["eliminate", path]) == 0
     out = capsys.readouterr().out
     assert "x1'' + x1" in out
+
+
+def test_cmd_eliminate_human_output(capsys):
+    assert cli.main(["eliminate", os.path.join(MODELS, "harmonic.ode")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["f_min = x1'' + x1", "order nu = 2", "terms = 2", "primes used = 3"]
+    assert lines[4] == "verification: unverified"
+    assert lines[5].startswith("timings: ")
+
+
+def test_cmd_eliminate_default_run_is_quiet():
+    # a fresh process, so the CLI's own logging setup decides what reaches stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ODELIM_THREADS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "odelim.cli", "eliminate", os.path.join(MODELS, "harmonic.ode")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0
+    assert "x1'' + x1" in run.stdout
+    assert run.stderr == ""
 
 
 def test_cmd_eliminate_json_round_trip(tmp_path, capsys):

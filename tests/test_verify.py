@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import odelim.verify as verify_mod
+from odelim.arith import fork_rng, random_prime
 from _gen import sparse_system
 from odelim.errors import BudgetExceededError, VerificationError
 from odelim.interp import SampleConfig, eliminate
@@ -56,6 +57,17 @@ def test_check_probabilistic_bound_is_explicit():
     assert rep.trials == 10
     assert 0 < rep.failure_bound < 1
     assert rep.outcome
+
+
+def test_check_probabilistic_counts_only_executed_trials():
+    # the first trial's prime divides the denominator of F, so it is skipped
+    p0 = random_prime(40, fork_rng(0, "verify"))
+    F = parse_derivative_poly("x1'' + x1").scale(Fraction(1, p0))
+    rep = check_probabilistic(HARMONIC, F, trials=4, seed=0)
+    assert rep.outcome
+    assert rep.trials == 3
+    # degree cap 1 and primes of at least 2^39 in each executed trial
+    assert 0 < rep.failure_bound <= Fraction(3, 1 << 39)
 
 
 def test_check_probabilistic_catches_non_members():
