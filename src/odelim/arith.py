@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadPrimeError
 
@@ -50,6 +51,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=4096)
+def _known_prime(n: int) -> bool:
+    """is_prime, remembered: a run builds a field for the same few primes
+    thousands of times (every reduce_mod, map_to and verification trial)."""
+    return is_prime(n)
 
 
 def random_prime(bits: int, rng: random.Random) -> int:
@@ -102,7 +110,7 @@ class PrimeField:
     def __init__(self, p: int):
         if p.bit_length() > MAX_PRIME_BITS:
             raise ValueError(f"modulus too large ({p.bit_length()} bits, max {MAX_PRIME_BITS})")
-        if not is_prime(p):
+        if not _known_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -6,7 +6,9 @@ Model file grammar (one equation per line, comments with '#'):
     x2' = -x1 + 3/4*x2^2      # rationals, decimals and parentheses allowed
 
 Exit codes: 0 success, 1 benchmark mismatch, 2 usage, 3 parse error,
-4 computation error, 5 verification failure.
+4 computation error, 5 verification failure.  A reader that closes
+standard output early (``odelim eliminate ... --json | head``) ends the
+run quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 
@@ -55,26 +58,6 @@ BENCH_EXAMPLES = [
 def parse_model(text: str) -> OdeSystem:
     """Parse a model file into an exact-rational ODE system."""
     return parse_system(text)
-
-
-def relabel_system(sys_: OdeSystem, target: int) -> OdeSystem:
-    """Swap x1 and x<target> so the pipeline eliminates the chosen variable."""
-    n = sys_.n
-    if not 1 <= target <= n:
-        raise ValueError(f"--target must lie in 1..{n}")
-    if target == 1:
-        return sys_
-    perm = list(range(n))
-    perm[0], perm[target - 1] = perm[target - 1], perm[0]
-    space = VarSpace.state(n)
-    new_g = []
-    for i in range(n):
-        old = sys_.g[perm[i]]
-        terms = {}
-        for e, c in old.terms.items():
-            terms[tuple(e[perm[j]] for j in range(n))] = c
-        new_g.append(SparsePoly(space, QQ, terms))
-    return OdeSystem(new_g)
 
 
 def result_document(result: EliminationResult, timings: dict) -> dict:
@@ -132,9 +115,7 @@ def cmd_eliminate(args) -> int:
         print(f"error: cannot read {args.model}: {exc.strerror}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    system = parse_model(text)
-    if args.target != 1:
-        system = relabel_system(system, args.target)
+    system = parse_model(text).relabel(args.target)
     t1 = time.perf_counter()
     config = SampleConfig(
         radius=args.radius,
@@ -280,7 +261,16 @@ def main(argv=None) -> int:
     # the per-run progress lines are debug-level and need -v
     logging.getLogger("odelim.interp").setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader (say `| head`) stopped early; exit quietly, and keep
+        # the interpreter's final flush from raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

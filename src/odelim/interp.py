@@ -429,8 +429,11 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
     min_p = max(nu, 2 * config.radius)
+    returned = []  # drawn primes whose solve was dropped, next in the draw order
 
     def fresh_prime() -> int:
+        if returned:
+            return returned.pop(0)
         while True:
             p = random_prime(config.prime_bits, prime_rng)
             if p > min_p and p not in used_primes:
@@ -478,8 +481,12 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 log.warning("prime %d: anomalous shrunk kernel, skipped", p)
                 continue
             if solved is None:
-                # the first prime's support was wrong: find two primes that agree
+                # the first prime's support was wrong: find two primes that agree.
+                # Primes still in flight go back to the draw order, so the
+                # restart sees the same primes at every thread count.
                 log.warning("prime %d: empty kernel on shrunk support, restarting", p)
+                returned[:0] = [q for q, _ in pending]
+                pending = []
                 found = _agreed_support(sys, S, config, fresh_prime, 2, _RESTART_TRIES)
                 if found is None:
                     raise ComputationError(
@@ -497,7 +504,6 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 )
                 acc, primes_used = _accumulate(entries)
                 previous = None
-                pending = []
                 continue
             if solved == "badlead":
                 log.debug("prime %d divides the leading coefficient, skipped", p)

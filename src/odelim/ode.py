@@ -63,6 +63,21 @@ class OdeSystem:
         ring = p if isinstance(p, PrimeField) else PrimeField(p)
         return OdeSystem([q.map_to(ring) for q in self.g])
 
+    def relabel(self, target: int) -> "OdeSystem":
+        """Swap x1 and x<target>, so that elimination acts on x<target>."""
+        n = self.n
+        if not 1 <= target <= n:
+            raise ValueError(f"target must lie in 1..{n}")
+        if target == 1:
+            return self
+        perm = list(range(n))
+        perm[0], perm[target - 1] = perm[target - 1], perm[0]
+        g = []
+        for i in perm:
+            terms = {tuple(e[j] for j in perm): c for e, c in self.g[i].terms.items()}
+            g.append(SparsePoly(self.space, self.ring, terms))
+        return OdeSystem(g)
+
     def render(self) -> str:
         return "\n".join(f"x{i + 1}' = {q}" for i, q in enumerate(self.g))
 

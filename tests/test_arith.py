@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odelim import arith
 from odelim.arith import (
     CrtAccumulator,
     PrimeField,
@@ -65,6 +66,19 @@ def test_prime_field_reduce_and_errors():
     assert F.reduce(Fraction(-2, 5)) == (-2 * modinv(5, 101)) % 101
     with pytest.raises(BadPrimeError):
         F.reduce(Fraction(1, 101))
+
+
+def test_prime_field_checks_each_modulus_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    arith._known_prime.cache_clear()
+    PrimeField(1000003)
+    PrimeField(1000003)
+    assert calls == [1000003]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(1000001)
+    assert calls == [1000003, 1000001]
 
 
 def test_prime_field_axioms():

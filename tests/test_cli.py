@@ -92,6 +92,28 @@ def test_cmd_eliminate_default_run_is_quiet():
     assert run.stderr == ""
 
 
+def test_cmd_eliminate_closed_stdout_is_quiet():
+    # `odelim eliminate ... --json | head`: the reader is gone before the first write
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ODELIM_THREADS", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "odelim.cli", "eliminate", os.path.join(MODELS, "harmonic.ode"), "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert run.stderr == ""
+    assert run.returncode == 0
+
+
 def test_cmd_eliminate_json_round_trip(tmp_path, capsys):
     path = write_model(tmp_path, "x1' = x2^2\nx2' = x1")
     assert cli.main(["eliminate", path, "--json"]) == 0

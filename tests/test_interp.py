@@ -2,10 +2,12 @@
 
 import os
 import random
+import threading
 
 import pytest
 
 from _gen import sparse_system
+from odelim import interp
 from odelim.errors import ComputationError
 from odelim.interp import (
     SampleConfig,
@@ -345,6 +347,33 @@ def test_eliminate_pinned_runs():
                 res = eliminate(sys_, SampleConfig(seed=seed, threads=threads))
                 assert res.f_min.render() == fmin
                 assert res.primes_used == primes
+
+
+def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):
+    # one forced empty kernel on the shrunk support triggers a restart
+    # while threads - 1 further primes are already in flight
+    solve = interp._solve_on_support
+    lock = threading.Lock()
+    state = {"prime": None}
+
+    def empty_once(sys_, p, *rest):
+        with lock:
+            if state["prime"] is None:
+                state["prime"] = p  # the first shrunk solve of the sequential run
+            if p == state["prime"] and not state["hit"]:
+                state["hit"] = True
+                return None
+        return solve(sys_, p, *rest)
+
+    monkeypatch.setattr(interp, "_solve_on_support", empty_once)
+    runs = []
+    for threads in (1, 3):
+        state["hit"] = False
+        runs.append(eliminate(SQUARED, SampleConfig(seed=3, threads=threads)))
+        assert state["hit"]
+    assert runs[0].f_min == runs[1].f_min
+    assert runs[0].primes_used == runs[1].primes_used
+    assert state["prime"] not in runs[0].primes_used
 
 
 def test_eliminate_threads_same_result():

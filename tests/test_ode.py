@@ -65,6 +65,14 @@ def test_parse_render_round_trip():
         assert again.g == sys_.g
 
 
+def test_relabel_swaps_x1_and_target():
+    sys_ = parse_system("x1' = x2\nx2' = -x2 - x1")
+    assert sys_.relabel(1) is sys_
+    assert sys_.relabel(2) == parse_system("x1' = -x1 - x2\nx2' = x1")
+    with pytest.raises(ValueError):
+        sys_.relabel(3)
+
+
 def test_system_degree_cache_n1():
     s = parse_system("x1' = x1^2")
     assert s.n == 1 and s.d == 2 and s.D == 0
