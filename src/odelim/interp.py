@@ -62,6 +62,11 @@ _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PROBE_TRIES = 4         # probe primes skipped due to denominator collisions
 
+# bytes per first-phase matrix entry: an int64, or for object rows an
+# 8-byte pointer to a Python int of up to 36 bytes (values below 2^62)
+_INT64_ENTRY_BYTES = 8
+_OBJECT_ENTRY_BYTES = 44
+
 
 def _default_threads() -> int:
     raw = os.environ.get("ODELIM_THREADS", "")
@@ -425,6 +430,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     bound = scalar_bound(sys.d) if sys.n == 1 else bound_inequalities(sys.d, sys.D, nu)
     S = enumerate_lattice(bound)
     log.debug("order %d: support bound has %d monomials", nu, len(S.points))
+    _check_memory(nu, len(S.points), config)
 
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
@@ -540,7 +546,44 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             f"increase max_primes or prime_bits"
         )
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # wait for the look-ahead solves still running: left behind, they
+        # overlap the caller's next elimination, which with two threads
+        # raised the peak RSS of repeated certified runs by 1.7 MB (4 %)
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _available_memory() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None when it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(nu: int, size: int, config: SampleConfig) -> None:
+    """Fail fast when the first phase cannot fit in the available memory.
+
+    A full-bound solve holds the size x size evaluation matrix and its
+    echelon copy, 2 * size^2 entries.  When that exceeds MemAvailable the
+    run raises ComputationError before drawing a single point; when the
+    available memory cannot be read there is no guard.
+    """
+    available = _available_memory()
+    if available is None:
+        return
+    small = config.prime_bits <= _INT64_PRIME_BITS
+    need = 2 * size * size * (_INT64_ENTRY_BYTES if small else _OBJECT_ENTRY_BYTES)
+    if need > available:
+        raise ComputationError(
+            f"the order-{nu} support bound has {size} monomials; its first phase "
+            f"needs about {need / 1e9:.1f} GB ({need} bytes) for two {size}x{size} "
+            f"{'int64' if small else 'object'} matrices, but only "
+            f"{available / 1e9:.1f} GB ({available} bytes) is available"
+        )
 
 
 def _agreed_support(

@@ -17,6 +17,9 @@ R(F) = 0.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from .arith import BadPrimeError, PrimeField, fork_rng, random_prime
@@ -199,9 +202,32 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
 
     The substitution goes highest derivative first, Horner-style in each
     derivative variable, which keeps intermediate expression swell down
-    compared to expanding monomials independently.  ``max_terms`` caps the
-    size of any intermediate polynomial; exceeding it raises
-    BudgetExceededError rather than silently eating memory.
+    compared to expanding monomials independently.
+
+    The Horner evaluation runs on plain dicts {packed exponent: int}.
+    Over QQ, let lam be the lcm of the denominators of g; then
+    H_k = lam^k * L^k(x1) is integral.  With mu the lcm of the
+    denominators of F and W the largest weight w(e) = sum_k k*e_k of a
+    term of F, the term c_e * x^(e) enters as the integer
+    mu * c_e * lam^(W - w(e)), and the evaluation yields
+    mu * lam^W * R(F); that constant is divided out of the returned
+    polynomial.  Over GF(p), lam = mu = 1 and sums and products are
+    reduced mod p.
+
+    A state monomial x1^a1 ... xn^an is packed as sum_i a_i * B^(i-1)
+    with B = delta + 1, where delta = max over terms e of F of
+    sum_k e_k * deg H_k.  Every intermediate, and every monomial of a
+    partial product, is a monomial of an expansion of
+    prod_k H_k^(e'_k) with e' <= e componentwise for some term e of F,
+    so its total degree, and with it each exponent, is at most delta < B:
+    adding packed keys never carries from one variable into the next.
+
+    ``max_terms`` caps the size of any intermediate polynomial and is
+    checked after every product and every sum; exceeding it raises
+    BudgetExceededError rather than silently eating memory.  An
+    intermediate differs from its unscaled rational counterpart only by a
+    nonzero constant, so both have the same support and the budget trips
+    at the same sizes.
     """
     if f.space.kind != "deriv":
         raise ValueError("f must be a polynomial in x1 and its derivatives")
@@ -209,15 +235,40 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
         raise ValueError(f"coefficient-ring mismatch: {f.ring} vs {sys.ring}")
     ring = sys.ring
     state = sys.space
-    zero = SparsePoly.zero(state, ring)
     if not f.terms:
-        return zero
+        return SparsePoly.zero(state, ring)
     iterates = lie_iterates(sys, f.space.order + 1)
+    if isinstance(ring, PrimeField):
+        p, lam, mu = ring.p, 1, 1
+    else:
+        p = None
+        lam = math.lcm(*(c.denominator for q in sys.g for c in q.terms.values()))
+        mu = math.lcm(*(c.denominator for c in f.terms.values()))
+    degrees = [max(h.total_degree(), 0) for h in iterates]
+    base = 1 + max(sum(e * dk for e, dk in zip(exps, degrees)) for exps in f.terms)
+    weight = {exps: sum(k * e for k, e in enumerate(exps)) for exps in f.terms}
+    top = max(weight.values())
+
+    def pack(exps):
+        key = 0
+        for e in reversed(exps):
+            key = key * base + e
+        return key
+
+    # c.numerator / c.denominator also read plain ints (GF(p) coefficients)
+    H = [
+        {pack(e): c.numerator * lam**k // c.denominator for e, c in h.terms.items()}
+        for k, h in enumerate(iterates)
+    ]
+    scaled = {
+        exps: c.numerator * (mu // c.denominator) * lam ** (top - weight[exps])
+        for exps, c in f.terms.items()
+    }
 
     def guard(poly):
-        if max_terms is not None and len(poly.terms) > max_terms:
+        if max_terms is not None and len(poly) > max_terms:
             raise BudgetExceededError(
-                f"intermediate polynomial reached {len(poly.terms)} terms "
+                f"intermediate polynomial reached {len(poly)} terms "
                 f"(budget {max_terms}); the membership test is indeterminate "
                 f"at this budget"
             )
@@ -226,23 +277,58 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
     def descend(terms, k):
         # terms: exponent tuples of length k+1 (variables x1^(0..k))
         if k == 0:
-            pad = (0,) * (state.nvars - 1)
-            return SparsePoly(
-                state, ring, {(e[0],) + pad: c for e, c in terms.items()}, _clean=True
-            )
+            return {e[0]: c for e, c in terms.items()}  # x1^e packs to e
         strata: dict[int, dict] = {}
         for exps, c in terms.items():
             strata.setdefault(exps[-1], {})[exps[:-1]] = c
-        h = iterates[k]
-        val = zero
+        h = H[k]
+        val = {}
         for j in range(max(strata), -1, -1):
-            if val.terms:
-                val = guard(val * h)
+            if val:
+                val = guard(_packed_mul(val, h, p))
             if j in strata:
-                val = guard(val + descend(strata[j], k - 1))
+                val = guard(_packed_add(val, descend(strata[j], k - 1), p))
         return val
 
-    return descend(f.terms, f.space.order)
+    scale = mu * lam**top
+    out = {}
+    for key, c in descend(scaled, f.space.order).items():
+        exps = []
+        for _ in range(state.nvars):
+            key, e = divmod(key, base)
+            exps.append(e)
+        out[tuple(exps)] = c if p else Fraction(c, scale)
+    return SparsePoly(state, ring, out, _clean=True)
+
+
+def _packed_mul(a: dict, b: dict, p) -> dict:
+    """Product of two {packed exponent: int} polynomials, reduced mod p when p."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    items = a.items()
+    for eb, cb in b.items():
+        for ea, ca in items:
+            key = ea + eb
+            out[key] = get(key, 0) + ca * cb
+    return _trim(out, p)
+
+
+def _packed_add(a: dict, b: dict, p) -> dict:
+    """Sum of two {packed exponent: int} polynomials, reduced mod p when p."""
+    out = dict(a)
+    get = out.get
+    for key, c in b.items():
+        out[key] = get(key, 0) + c
+    return _trim(out, p)
+
+
+def _trim(poly: dict, p) -> dict:
+    """Drop the zero coefficients, after reducing mod p when p."""
+    if p:
+        poly = {key: c % p for key, c in poly.items()}
+    return {key: c for key, c in poly.items() if c}
 
 
 def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:

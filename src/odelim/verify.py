@@ -4,10 +4,11 @@ A differential polynomial F vanishes along every trajectory of x' = g(x)
 exactly when substituting x1^(k) -> L^k(x1) collapses it to zero.  Two
 checkers implement that criterion: a probabilistic one (evaluate at jets
 of random points over random primes, with an explicit Schwartz–Zippel
-failure bound) and an exact one (full symbolic substitution over the
-rationals, with a hard term budget).  The certified driver wraps the
-interpolation pipeline: run it, exact-check the candidate, and double the
-sampling radius until the check passes.
+failure bound) and an exact one (full symbolic substitution, carried out
+over the integers and divided back to the rationals, with a hard term
+budget).  The certified driver wraps the interpolation pipeline: run it,
+exact-check the candidate, and double the sampling radius until the check
+passes.
 """
 
 from __future__ import annotations
@@ -86,12 +87,19 @@ def check_probabilistic(
 
 
 def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGET) -> VerificationReport:
-    """Exact membership: substitute symbolically over QQ and compare with 0.
+    """Exact membership: substitute symbolically and compare R(F) with 0.
 
-    The substitution replaces the highest derivative first so cancellation
-    happens as early as possible; ``max_terms`` caps intermediate swell
-    and exhaustion raises BudgetExceededError — the answer is then
-    indeterminate, never silently downgraded to a probabilistic one.
+    ode.reduction replaces the highest derivative first so cancellation
+    happens as early as possible.  It scales F and the iterated Lie
+    derivatives to integer coefficients, so the whole substitution runs on
+    Python ints, packs each state monomial into one int whose base
+    exceeds the largest total degree any intermediate can reach, and
+    divides the scale back out at the end.  ``max_terms`` caps
+    intermediate swell and is checked after every product and sum; the
+    scaled intermediates have the supports of the rational ones, so the
+    budget trips at the same sizes.  Exhaustion raises
+    BudgetExceededError — the answer is then indeterminate, never
+    silently downgraded to a probabilistic one.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")

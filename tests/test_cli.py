@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import odelim.cli as cli
+from odelim import interp
 from odelim.errors import VerificationError
 from odelim.ode import parse_system
 from odelim.poly import parse_derivative_poly
@@ -184,6 +185,14 @@ def test_cmd_eliminate_computation_error_exit_code(tmp_path, capsys):
     path = write_model(tmp_path, "x1' = x1^2 + x1*x2 + x2^2 + 1\nx2' = x2")
     assert cli.main(["eliminate", path, "--max-primes", "1"]) == 4
     assert "computation error" in capsys.readouterr().err
+
+
+def test_cmd_eliminate_memory_guard_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(interp, "_available_memory", lambda: 100)
+    path = write_model(tmp_path, "x1' = x2\nx2' = -x1")
+    assert cli.main(["eliminate", path]) == 4
+    err = capsys.readouterr().err
+    assert "256 bytes" in err and "100 bytes" in err
 
 
 def test_cmd_eliminate_verification_failure_exit_code(tmp_path, capsys, monkeypatch):

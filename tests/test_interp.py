@@ -324,6 +324,38 @@ def test_eliminate_prime_budget_exhausted():
         eliminate(QUAD43, SampleConfig(max_primes=1))
 
 
+def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
+    # harmonic: 4 bound monomials, two 4x4 int64 matrices = 256 bytes
+    monkeypatch.setattr(interp, "_available_memory", lambda: 255)
+    with pytest.raises(ComputationError, match=r"4 monomials.*\(256 bytes\).*\(255 bytes\)"):
+        eliminate(HARMONIC)
+    monkeypatch.setattr(interp, "_available_memory", lambda: 256)
+    assert eliminate(HARMONIC).f_min == parse_derivative_poly("x1'' + x1")
+
+
+def test_memory_guard_counts_object_entries(monkeypatch):
+    # primes of 31 bits and more put the matrices in object arrays
+    monkeypatch.setattr(interp, "_available_memory", lambda: 2 * 16 * 44 - 1)
+    with pytest.raises(ComputationError, match="object"):
+        eliminate(HARMONIC, SampleConfig(prime_bits=31))
+
+
+def test_memory_guard_reads_memory_once_per_order(monkeypatch):
+    reads = []
+    monkeypatch.setattr(interp, "_available_memory", lambda: reads.append(1))
+    res = eliminate(HARMONIC, SampleConfig(nu_override=1, seed=1))
+    assert res.nu == 2 and len(res.primes_used) > 2
+    assert len(reads) == 2  # orders 1 and 2; None means no guard
+
+
+def test_available_memory_reads_meminfo():
+    avail = interp._available_memory()
+    if os.path.exists("/proc/meminfo"):
+        assert avail > 0
+    else:
+        assert avail is None
+
+
 # reference runs of the shipped fast models: f_min and primes_used depend
 # only on the seed, never on the thread count or on how the code is arranged
 PINNED_PRIMES = {0: (20021429, 22287511, 32189329), 7: (18900113, 19674013, 23682781)}
@@ -374,6 +406,13 @@ def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):
     assert runs[0].f_min == runs[1].f_min
     assert runs[0].primes_used == runs[1].primes_used
     assert state["prime"] not in runs[0].primes_used
+
+
+def test_eliminate_leaves_no_solver_threads_running():
+    # look-ahead solves in flight when the result is found are waited for
+    before = set(threading.enumerate())
+    eliminate(QUAD43, SampleConfig(seed=1, threads=2))
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_eliminate_threads_same_result():

@@ -1,13 +1,15 @@
 """Systems, the three operators, order detection and jets."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from _gen import sparse_system
+from _gen import dense_system, sparse_system
 from odelim.arith import fork_rng
 from odelim.errors import BadPrimeError, BudgetExceededError, ParseError
+from odelim.interp import SampleConfig, eliminate
 from odelim.ode import (
     OdeSystem,
     jet,
@@ -220,6 +222,103 @@ def test_reduction_mod_p():
     sysp = HARMONIC.reduce_mod(p)
     f = parse_derivative_poly("x1'' + x1").map_to(GF(p))
     assert reduction(sysp, f).is_zero
+
+
+# the budgets below were measured on the rational (Fraction) Horner
+# substitution; an intermediate's support does not depend on how its
+# coefficients are scaled, so the smallest passing budget must not move
+
+
+def test_reduction_budget_smallest_passing():
+    sys_ = parse_system("x1' = x1^2 + x2^2\nx2' = x1*x2 + 1")
+    f = parse_derivative_poly("x1''^3*x1'^3*x1^2 + x1'^2")
+    with pytest.raises(BudgetExceededError):
+        reduction(sys_, f, max_terms=24)
+    assert len(reduction(sys_, f, max_terms=25)) == 25
+
+
+def test_reduction_budget_on_a_generic_relation():
+    sys_ = dense_system(3, 2, 1, random.Random(101))
+    f = eliminate(sys_, SampleConfig(seed=101)).f_min
+    with pytest.raises(BudgetExceededError):
+        reduction(sys_, f, max_terms=1329)
+    assert reduction(sys_, f, max_terms=1330).is_zero
+
+
+def _naive_reduction(sys_, f):
+    """sum_e c_e * prod_k L^k(x1)^e_k, each monomial expanded on its own."""
+    iterates = lie_iterates(sys_, f.space.order + 1)
+    out = SparsePoly.zero(sys_.space, sys_.ring)
+    for exps, c in f.terms.items():
+        term = SparsePoly.constant(sys_.space, c, sys_.ring)
+        for h, e in zip(iterates, exps):
+            term = term * h**e
+        out = out + term
+    return out
+
+
+def _rational_system(rng, n):
+    """Random system of degree <= 2 whose coefficients have denominators 1..6,
+    at least one of them above 1."""
+    space = VarSpace.state(n)
+    gs = []
+    for i in range(n):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(n)] += 1
+            terms[tuple(exps)] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+        gs.append(SparsePoly(space, QQ, terms))
+    if all(c.denominator == 1 for q in gs for c in q.terms.values()):
+        gs[0] = gs[0] + SparsePoly.variable(space, n - 1, QQ).scale(Fraction(1, 3))
+    return OdeSystem(gs)
+
+
+def _rational_deriv_poly(rng, order):
+    """Random F in x1..x1^(order) with denominators and mixed weights."""
+    space = VarSpace.deriv(order)
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * (order + 1)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(order + 1)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return SparsePoly(space, QQ, terms)
+
+
+@pytest.mark.parametrize("modulus", [None, 101, (1 << 30) - 35])
+def test_reduction_matches_naive_expansion(modulus):
+    rng = random.Random(2026 if modulus is None else modulus)
+    nonzero = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        sys_ = _rational_system(rng, n)
+        f = _rational_deriv_poly(rng, rng.randint(0, 3))
+        if modulus is not None:
+            sys_ = sys_.reduce_mod(modulus)
+            f = f.map_to(GF(modulus))
+        got = reduction(sys_, f)
+        assert got == _naive_reduction(sys_, f)
+        nonzero += not got.is_zero
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("modulus", [None, 101])
+def test_reduction_fills_the_packing_base(modulus):
+    # delta = max_e sum_k e_k deg L^k(x1) = 6 here, and R(F) holds x2^6
+    # and x1^6: exponents equal to delta, the largest a packed field holds
+    sys_ = parse_system("x1' = 1/2*x2^2 - x1\nx2' = 2/3*x1 + x3\nx3' = 1/5*x3^2")
+    f = parse_derivative_poly("3/4*x1'^3 - 1/7*x1^6 + x1*x1'^2")
+    if modulus is not None:
+        sys_ = sys_.reduce_mod(modulus)
+        f = f.map_to(GF(modulus))
+    got = reduction(sys_, f)
+    assert got == _naive_reduction(sys_, f)
+    assert (0, 6, 0) in got.terms and (6, 0, 0) in got.terms
+    # scaling a member by a rational keeps the residue exactly zero
+    member = parse_derivative_poly("x1'' + x1").scale(Fraction(5, 3))
+    assert reduction(HARMONIC, member).is_zero
 
 
 # --- order detection ------------------------------------------------------

@@ -1,17 +1,21 @@
 """Membership checks and the certified driver."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odelim.verify as verify_mod
 from odelim.arith import fork_rng, random_prime
 from _gen import sparse_system
 from odelim.errors import BudgetExceededError, VerificationError
-from odelim.interp import SampleConfig, eliminate
-from odelim.ode import parse_system
+from odelim.interp import SampleConfig, eliminate, eliminate_mod_p
+from odelim.ode import OdeSystem, parse_system
 from odelim.poly import QQ, SparsePoly, VarSpace, parse_derivative_poly
+from odelim.support import bound_inequalities, enumerate_lattice
 from odelim.verify import VerificationReport, certified_eliminate, check_exact, check_probabilistic
 
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
@@ -160,3 +164,34 @@ def test_probabilistic_on_random_systems():
         rep = check_probabilistic(sys_, res.f_min, trials=6, seed=1)
         assert rep.outcome
         assert rep.failure_bound < Fraction(1, 1000)
+
+
+@st.composite
+def small_systems(draw):
+    """Sparse systems with n <= 3, deg g1 = d and deg gi = D, d, D <= 2."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    D = draw(st.integers(1, 2))
+    space = VarSpace.state(n)
+    coeff = st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 4])
+    gs = []
+    for i in range(n):
+        deg = d if i == 0 else D
+        monos = [e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg]
+        top = draw(st.sampled_from([e for e in monos if sum(e) == deg]))
+        rest = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True))
+        gs.append(SparsePoly(space, QQ, {e: draw(coeff) for e in {top, *rest}}))
+    return OdeSystem(gs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(small_systems())
+def test_eliminate_is_exact_and_minimal_on_random_systems(sys_):
+    config = SampleConfig(seed=3)
+    res = eliminate(sys_, config)
+    assert check_exact(sys_, res.f_min).outcome
+    if res.nu > 1:
+        # no relation of order nu - 1: the kernel on its bound is empty
+        S = enumerate_lattice(bound_inequalities(sys_.d, sys_.D, res.nu - 1))
+        p = random_prime(config.prime_bits, fork_rng(config.seed, "lower-order"))
+        assert eliminate_mod_p(sys_, p, S, config) is None
