@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="exact-check the result, doubling the radius on failure")
     p.add_argument("--prime-bits", type=int, default=25, dest="prime_bits",
-                   help="bit size of the working primes (default 25)")
+                   help="bit size of the working primes, 16 to 30 (default 25)")
     p.add_argument("--max-primes", type=int, default=200, dest="max_primes",
                    help="abort after this many primes (default 200)")
     p.add_argument("--order", type=int, default=None,
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half-width of the integer sampling box (default 1893)")
     p.add_argument("--target", type=int, default=1,
                    help="state variable to eliminate (relabels, default 1)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default: ODELIM_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="per-prime solves run at once (default 1)")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(func=cmd_eliminate)
 

@@ -30,7 +30,6 @@ consensus).
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,33 +46,19 @@ from .arith import (
     rational_reconstruct,
 )
 from .errors import BadPrimeError, ComputationError, KernelAnomalyError
-from .linalg import _echelon, _kernel_vector, _moddot
+from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector, _moddot
 from .ode import OdeSystem, jet, order_nu
 from .poly import QQ, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
 
 log = logging.getLogger("odelim.interp")
 
-# primes up to this size use int64 rows with delayed reduction; larger
-# primes fall back to exact big-integer (object dtype) arithmetic
-_INT64_PRIME_BITS = 30
 _POINT_RETRIES = 3       # point redraws per prime before giving up on it
+_EXTRA_ROWS = 8          # rows beyond the support in a shrunk solve
+_PROBE_POINTS = 32       # points of a membership probe
 _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PROBE_TRIES = 4         # probe primes skipped due to denominator collisions
-
-# bytes per first-phase matrix entry: an int64, or for object rows an
-# 8-byte pointer to a Python int of up to 36 bytes (values below 2^62)
-_INT64_ENTRY_BYTES = 8
-_OBJECT_ENTRY_BYTES = 44
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("ODELIM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -82,7 +67,10 @@ class SampleConfig:
 
     radius is the half-width of the integer sampling box; seed drives every
     random choice (points, primes, probes) through labeled forks, so equal
-    seeds give equal runs; nu_override skips order detection.
+    seeds give equal runs; prime_bits is the size of the working primes,
+    at most linalg.MAX_PRIME_BITS (30) so that residues stay int64;
+    max_primes caps the primes that enter the CRT; nu_override skips
+    order detection; threads is the number of per-prime solves run at once.
     """
 
     radius: int = 1893
@@ -90,21 +78,17 @@ class SampleConfig:
     prime_bits: int = 25
     max_primes: int = 200
     nu_override: int | None = None
-    extra_rows: int = 8
-    probe_points: int = 32
-    threads: int = 0  # 0 = take ODELIM_THREADS, default 1
+    threads: int = 1
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("sampling radius must be at least 1")
-        if not 16 <= self.prime_bits <= 62:
-            raise ValueError("prime_bits must lie in [16, 62]")
+        if not 16 <= self.prime_bits <= MAX_PRIME_BITS:
+            raise ValueError(f"prime_bits must lie in [16, {MAX_PRIME_BITS}]")
         if self.max_primes < 1:
             raise ValueError("max_primes must be positive")
-
-    @property
-    def effective_threads(self) -> int:
-        return self.threads if self.threads >= 1 else _default_threads()
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -181,22 +165,21 @@ def _draw_points(rng, count: int, n: int, radius: int):
 
 def _eval_matrix(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
     p = sys_p.ring.p
-    dtype = np.int64 if p < (1 << _INT64_PRIME_BITS) else object
-    pts = np.array(points, dtype=dtype)
+    pts = np.array(points, dtype=np.int64)
     m = pts.shape[0]
     jets = jet(sys_p, pts.T, S.nu)
     maxe = [0] * (S.nu + 1)
     for e in S.points:
         for k, ek in enumerate(e):
             maxe[k] = max(maxe[k], ek)
-    one = np.ones(m, dtype=dtype)
+    one = np.ones(m, dtype=np.int64)
     pow_tables = []
     for k in range(S.nu + 1):
         row = [one]
         for _ in range(maxe[k]):
             row.append(row[-1] * jets[k] % p)
         pow_tables.append(row)
-    N = np.empty((m, len(S.points)), dtype=dtype)
+    N = np.empty((m, len(S.points)), dtype=np.int64)
     for col, e in enumerate(S.points):
         acc = None
         for k, ek in enumerate(e):
@@ -210,6 +193,8 @@ def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
     """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point)."""
     if not isinstance(sys_p.ring, PrimeField):
         raise ValueError("assemble expects a system reduced modulo a prime")
+    if sys_p.ring.p >> MAX_PRIME_BITS:
+        raise ValueError(f"assemble needs a prime below 2^{MAX_PRIME_BITS} (int64 residues)")
     if len(points) < len(S.points):
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
@@ -299,8 +284,9 @@ def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig)
     kernel element and their values mod p — or None when the kernel is
     empty (the assumed order is too small).  Retries with fresh points
     when the degree filtration reports an anomalous kernel; a persistent
-    anomaly propagates as KernelAnomalyError; a prime not above the order
-    raises BadPrimeError.
+    anomaly propagates as KernelAnomalyError; a prime not above the order,
+    or one dividing a denominator of the system, raises BadPrimeError (the
+    driver never draws such a prime).
     """
     vec = _sampled_kernel(sys, p, S, len(S.points), config, "points")
     if vec is None:
@@ -316,7 +302,7 @@ def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleCo
     monomial), None for an empty kernel (bad first-prime support), or the
     string "badlead" when this prime divides the leading coefficient.
     """
-    rows = len(support) + config.extra_rows
+    rows = len(support) + _EXTRA_ROWS
     vec = _sampled_kernel(sys, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
     if vec is not None and vec[-1] == 0:
         # the relation exists mod p but its leading coefficient vanished:
@@ -336,9 +322,9 @@ def _probe_membership(sys, nu, support, rationals, config, fresh_prime) -> bool:
             continue  # prime divides a denominator; take another
         sys_p = sys.reduce_mod(p)
         rng = fork_rng(config.seed, "probe", str(p))
-        points = _draw_points(rng, config.probe_points, sys.n, config.radius)
+        points = _draw_points(rng, _PROBE_POINTS, sys.n, config.radius)
         N = _eval_matrix(sys_p, LatticeSet(nu, tuple(support)), points)
-        cvec = np.array(coeffs, dtype=N.data.dtype)
+        cvec = np.array(coeffs, dtype=np.int64)
         for row in N.data:
             if _moddot(row % p, cvec, p):
                 return False
@@ -430,11 +416,12 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     bound = scalar_bound(sys.d) if sys.n == 1 else bound_inequalities(sys.d, sys.D, nu)
     S = enumerate_lattice(bound)
     log.debug("order %d: support bound has %d monomials", nu, len(S.points))
-    _check_memory(nu, len(S.points), config)
+    _check_memory(nu, len(S.points))
 
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
     min_p = max(nu, 2 * config.radius)
+    denominator = sys.denominator()
     returned = []  # drawn primes whose solve was dropped, next in the draw order
 
     def fresh_prime() -> int:
@@ -442,7 +429,10 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             return returned.pop(0)
         while True:
             p = random_prime(config.prime_bits, prime_rng)
-            if p > min_p and p not in used_primes:
+            if denominator % p == 0:
+                # the system has no image mod p; every phase skips it
+                log.debug("prime %d divides a denominator of the system, skipped", p)
+            elif p > min_p and p not in used_primes:
                 used_primes.add(p)
                 return p
 
@@ -469,7 +459,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     # a one-worker pool made ~10 ms solves about 25 % slower (a thread
     # handoff per prime) and raised the peak memory of 1292-column solves
     # from 75 to 88 MB (the worker allocates from a malloc arena of its own).
-    threads = config.effective_threads
+    threads = config.threads
     pool = ThreadPoolExecutor(max_workers=threads)
     defer = partial if threads == 1 else lambda *call: pool.submit(*call).result
     try:
@@ -564,25 +554,24 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(nu: int, size: int, config: SampleConfig) -> None:
+def _check_memory(nu: int, size: int) -> None:
     """Fail fast when the first phase cannot fit in the available memory.
 
-    A full-bound solve holds the size x size evaluation matrix and its
-    echelon copy, 2 * size^2 entries.  When that exceeds MemAvailable the
-    run raises ComputationError before drawing a single point; when the
-    available memory cannot be read there is no guard.
+    A full-bound solve holds the size x size int64 evaluation matrix and
+    its echelon copy, 2 * size^2 entries of 8 bytes.  When that exceeds
+    MemAvailable the run raises ComputationError before drawing a single
+    point; when the available memory cannot be read there is no guard.
     """
     available = _available_memory()
     if available is None:
         return
-    small = config.prime_bits <= _INT64_PRIME_BITS
-    need = 2 * size * size * (_INT64_ENTRY_BYTES if small else _OBJECT_ENTRY_BYTES)
+    need = 2 * size * size * 8
     if need > available:
         raise ComputationError(
             f"the order-{nu} support bound has {size} monomials; its first phase "
             f"needs about {need / 1e9:.1f} GB ({need} bytes) for two {size}x{size} "
-            f"{'int64' if small else 'object'} matrices, but only "
-            f"{available / 1e9:.1f} GB ({available} bytes) is available"
+            f"int64 matrices, but only {available / 1e9:.1f} GB ({available} bytes) "
+            f"is available"
         )
 
 

@@ -1,7 +1,10 @@
 """Dense linear algebra modulo a prime, on numpy arrays.
 
-Arrays hold int64 entries for primes below 2^30, where every product of
-two residues fits in 63 bits, and Python ints (object dtype) above that.
+Every function here takes int64 arrays with entries reduced mod a prime
+p < 2^30: a product of two residues then fits in 60 bits, and the
+float64 products below stay exact.  The precondition is not checked
+here: SampleConfig keeps prime_bits at most MAX_PRIME_BITS, and
+interp.assemble refuses larger primes.
 
 Forward elimination runs over panels of columns, in the style of the
 right-looking blocked LU of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
@@ -15,10 +18,10 @@ and k <= 128 with p < 2^30 keeps it below 2^52, exact in float64 (whose
 integers are exact up to 2^53).  The trailing block is updated in column
 chunks of at most 128, which keeps the float temporaries small.
 
-A matrix of at most 512 columns is a single panel, and object arrays
-always are.  On 2 cores one solve alone gains from panels above about
-330 columns, but two solves at once (``threads=2``) share the cores with
-the BLAS threads, and there the panels only break even near 512 columns:
+A matrix of at most 512 columns is a single panel.  On 2 cores one
+solve alone gains from panels above about 330 columns, but two solves at
+once (``threads=2``) share the cores with the BLAS threads, and there
+the panels only break even near 512 columns:
 (n+8) x n with n = 271, 512 and 640 took 48, 148 and 223 ms in panels
 against 36, 152 and 309 ms as one panel.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_PRIME_BITS = 30  # every prime is below 2^MAX_PRIME_BITS
 _PANEL = 128         # columns per panel; k = 128 keeps k * 2^15 * p < 2^53 for p < 2^30
 _SINGLE_PANEL = 512  # widest matrix eliminated as one panel
 _CHUNK = 128         # trailing-block columns per float64 product
@@ -36,8 +40,6 @@ def _moddot(a, b, p: int) -> int:
     """Exact dot product mod p of 1-d arrays with entries in [0, p)."""
     if len(a) == 0:
         return 0
-    if a.dtype == object or b.dtype == object:
-        return int(sum(int(x) * int(y) for x, y in zip(a, b)) % p)
     # keep partial sums inside int64: each product is < p^2
     block = max(1, (1 << 62) // ((p - 1) ** 2 + 1))
     if len(a) <= block:
@@ -64,11 +66,8 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
     the 2^62 range.
     """
     cols = W.shape[1]
-    if W.dtype == object:
-        width, interval = cols, 1
-    else:
-        width = cols if cols <= _SINGLE_PANEL else _PANEL
-        interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
+    width = cols if cols <= _SINGLE_PANEL else _PANEL
+    interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
     pivots = []
     free = []
     limit = cols

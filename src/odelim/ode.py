@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import BadPrimeError, PrimeField, fork_rng, random_prime
 from .errors import BudgetExceededError, ParseError
-from .linalg import _echelon
+from .linalg import MAX_PRIME_BITS, _echelon
 from .poly import QQ, SparsePoly, VarSpace, _ExprParser, _tokenize
 
 
@@ -60,6 +60,10 @@ class OdeSystem:
         self.space = space
         self.d = max(g[0].total_degree(), 0)
         self.D = 0 if n == 1 else max(max(q.total_degree(), 0) for q in g[1:])
+
+    def denominator(self) -> int:
+        """lcm of the coefficient denominators; reduce_mod(p) needs p not to divide it."""
+        return math.lcm(*(c.denominator for q in self.g for c in q.terms.values()))
 
     def reduce_mod(self, p) -> "OdeSystem":
         """The same system with coefficients reduced into GF(p)."""
@@ -242,7 +246,7 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
         p, lam, mu = ring.p, 1, 1
     else:
         p = None
-        lam = math.lcm(*(c.denominator for q in sys.g for c in q.terms.values()))
+        lam = sys.denominator()
         mu = math.lcm(*(c.denominator for c in f.terms.values()))
     degrees = [max(h.total_degree(), 0) for h in iterates]
     base = 1 + max(sum(e * dk for e, dk in zip(exps, degrees)) for exps in f.terms)
@@ -335,11 +339,12 @@ def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:
     """Minimal differential order of x1, detected by Monte-Carlo rank.
 
     The order equals the rank of the n x n Jacobian of (x1, L(x1), ...,
-    L^(n-1)(x1)) with respect to x1..xn.  The rank is taken at random
-    points over random 62-bit primes, keeping the maximum over ``reps``
-    repetitions; a random evaluation can only underestimate the generic
-    rank, and an underestimate surfaces later as an empty interpolation
-    kernel, which triggers escalation.
+    L^(n-1)(x1)) with respect to x1..xn.  The rank is taken by _echelon
+    on int64 residues at random points over random 30-bit primes, keeping
+    the maximum over ``reps`` repetitions; a prime that divides a
+    denominator of the system is drawn again.  A random evaluation can
+    only underestimate the generic rank, and an underestimate surfaces
+    later as an empty interpolation kernel, which triggers escalation.
     """
     if sys.ring != QQ:
         raise ValueError("order detection expects an exact-rational system")
@@ -348,13 +353,16 @@ def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:
     n = sys.n
     rows = lie_iterates(sys, n)
     jac = [[rows[i].partial_derivative(j) for j in range(n)] for i in range(n)]
+    denominator = sys.denominator()
     best = 0
     for _ in range(reps):
-        p = random_prime(62, rng)
+        p = random_prime(MAX_PRIME_BITS, rng)
+        while denominator % p == 0:
+            p = random_prime(MAX_PRIME_BITS, rng)
         field = PrimeField(p)
         point = [rng.randrange(p) for _ in range(n)]
         matrix = [[entry.map_to(field).evaluate(point) for entry in row] for row in jac]
-        pivots, _, _ = _echelon(np.array(matrix, dtype=object), p)
+        pivots, _, _ = _echelon(np.array(matrix, dtype=np.int64), p)
         best = max(best, len(pivots))
         if best == n:
             break
@@ -369,11 +377,11 @@ def jet(sys: OdeSystem, base, nu: int) -> list:
     """Jet (j_0, ..., j_nu) of x1 along the trajectory through ``base``.
 
     The system must already be reduced mod p.  ``base`` gives one value per
-    variable: an int, or a numpy array of point values (int64 for p < 2^30,
-    object dtype above), in which case every returned j_k is an array of
-    the jets at all those points.  The trajectory is computed as a
-    truncated power series by the coefficient recurrence — knowing x(t)
-    mod t^k, the relation x' = g(x) yields the t^k coefficient — and
+    variable: an int (any p), or an int64 numpy array of point values
+    (p < 2^30), in which case every returned j_k is an array of the jets
+    at all those points.  The trajectory is computed as a truncated power
+    series by the coefficient recurrence — knowing x(t) mod t^k, the
+    relation x' = g(x) yields the t^k coefficient — and
     j_k = k! * [t^k] x1(t), which equals R(x1^(k)) evaluated at the base
     point without ever expanding R symbolically.  Every product is reduced
     mod p, so int64 arrays stay exact at any order.

@@ -51,8 +51,9 @@ def check_probabilistic(
     substituted polynomial has total degree at most deg F times the worst
     iterated-derivative degree, so a nonzero F slips through one trial
     with probability at most that degree over p.  A trial whose prime
-    divides a denominator of F is skipped; the report counts only the
-    executed trials and carries their summed union bound explicitly.
+    divides a denominator of F or of the system is skipped; the report
+    counts only the executed trials and carries their summed union bound
+    explicitly.  The primes may exceed 2^30: the jets are Python ints.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
@@ -73,9 +74,9 @@ def check_probabilistic(
                 break
         try:
             Fp = F.map_to(GF(p))
+            sys_p = sys.reduce_mod(p)
         except BadPrimeError:
             continue  # denominator collision: the trial is not executed
-        sys_p = sys.reduce_mod(p)
         point = [rng.randrange(p) for _ in range(sys.n)]
         values = jet(sys_p, point, nu)
         executed += 1

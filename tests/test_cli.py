@@ -80,7 +80,6 @@ def test_cmd_eliminate_default_run_is_quiet():
     # a fresh process, so the CLI's own logging setup decides what reaches stderr
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("ODELIM_THREADS", None)
     run = subprocess.run(
         [sys.executable, "-m", "odelim.cli", "eliminate", os.path.join(MODELS, "harmonic.ode")],
         capture_output=True,
@@ -97,7 +96,6 @@ def test_cmd_eliminate_closed_stdout_is_quiet():
     # `odelim eliminate ... --json | head`: the reader is gone before the first write
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("ODELIM_THREADS", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -166,6 +164,12 @@ def test_cmd_eliminate_threads_flag(tmp_path, capsys):
     assert cli.main(["eliminate", path, "--threads", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["f_min"] == "x1'' + x1"
+
+
+def test_cmd_eliminate_prime_bits_above_30_is_usage_error(tmp_path, capsys):
+    path = write_model(tmp_path, "x1' = x2\nx2' = -x1")
+    assert cli.main(["eliminate", path, "--prime-bits", "31"]) == 2
+    assert "[16, 30]" in capsys.readouterr().err
 
 
 def test_cmd_eliminate_missing_file(capsys):

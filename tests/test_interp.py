@@ -1,5 +1,7 @@
 """The modular evaluation-interpolation pipeline."""
 
+import logging
+import math
 import os
 import random
 import threading
@@ -8,6 +10,7 @@ import pytest
 
 from _gen import sparse_system
 from odelim import interp
+from odelim.arith import is_prime
 from odelim.errors import ComputationError
 from odelim.interp import (
     SampleConfig,
@@ -29,6 +32,8 @@ MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 P = 1048583  # 21-bit prime
 P30_BELOW = (1 << 30) - 35
 P30_ABOVE = (1 << 30) + 3
+# the 60 largest 16-bit primes: one 16-bit prime in about 50 divides it
+D60 = math.prod([q for q in range(65535, 60000, -2) if is_prime(q)][:60])
 
 
 # --- sampling -------------------------------------------------------------
@@ -79,9 +84,8 @@ def test_assemble_harmonic_negated_columns():
 
 
 def test_assemble_matches_symbolic_reduction():
-    # P; the largest prime below 2^30, where int64 entries are at their
-    # limit; and the smallest prime above it, which takes the object path
-    for p, max_nu in ((P, 2), (P30_BELOW, 3), (P30_ABOVE, 3)):
+    # P, and the largest prime below 2^30, where int64 entries are at their limit
+    for p, max_nu in ((P, 2), (P30_BELOW, 3)):
         rng = random.Random(31)
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -106,6 +110,10 @@ def test_assemble_matches_symbolic_reduction():
                 h = reduction(sys_, mono).map_to(field)
                 for j, pt in enumerate(pts):
                     assert N.data[j][i] == h.evaluate([c % p for c in pt])
+    # residues are int64 only: the smallest prime above 2^30 is refused
+    S = LatticeSet(2, [(0, 0, 0)])
+    with pytest.raises(ValueError, match="2\\^30"):
+        assemble(HARMONIC.reduce_mod(P30_ABOVE), S, [(1, 2)])
 
 
 # --- kernels --------------------------------------------------------------
@@ -115,7 +123,7 @@ class FakeMatrix:
     def __init__(self, data, p):
         import numpy as np
 
-        self.data = np.array(data, dtype=object)
+        self.data = np.array(data, dtype=np.int64)
         self.p = p
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
@@ -333,11 +341,11 @@ def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
     assert eliminate(HARMONIC).f_min == parse_derivative_poly("x1'' + x1")
 
 
-def test_memory_guard_counts_object_entries(monkeypatch):
-    # primes of 31 bits and more put the matrices in object arrays
-    monkeypatch.setattr(interp, "_available_memory", lambda: 2 * 16 * 44 - 1)
-    with pytest.raises(ComputationError, match="object"):
-        eliminate(HARMONIC, SampleConfig(prime_bits=31))
+def test_sample_config_refuses_primes_above_30_bits():
+    # residues are int64 and the echelon is exact only below 2^30
+    assert SampleConfig(prime_bits=30).prime_bits == 30
+    with pytest.raises(ValueError, match=r"\[16, 30\]"):
+        SampleConfig(prime_bits=31)
 
 
 def test_memory_guard_reads_memory_once_per_order(monkeypatch):
@@ -422,8 +430,31 @@ def test_eliminate_threads_same_result():
     assert a.primes_used == b.primes_used
 
 
+def test_sample_config_threads_at_least_one():
+    assert SampleConfig().threads == 1
+    with pytest.raises(ValueError, match="threads"):
+        SampleConfig(threads=0)
+
+
 def test_eliminate_small_primes_need_more_rounds():
     small = eliminate(QUAD43, SampleConfig(prime_bits=16, seed=3))
-    large = eliminate(QUAD43, SampleConfig(prime_bits=40, seed=3))
+    large = eliminate(QUAD43, SampleConfig(prime_bits=30, seed=3))
     assert small.f_min == large.f_min
     assert len(small.primes_used) >= len(large.primes_used)
+
+
+def test_eliminate_skips_primes_dividing_a_denominator(caplog):
+    # x1'' = -x1/D: with 16-bit primes most seeds draw some prime dividing
+    # D, in the first phase, the CRT loop or the probe; each is skipped
+    caplog.set_level(logging.DEBUG, logger="odelim.interp")
+    sys_ = parse_system(f"x1' = 1/{D60}*x2\nx2' = -x1")
+    expected = parse_derivative_poly(f"{D60}*x1'' + x1").normalize_canonical()
+    hit = set()
+    for seed in range(20):
+        caplog.clear()
+        res = eliminate(sys_, SampleConfig(prime_bits=16, radius=100, seed=seed))
+        assert res.f_min == expected
+        assert all(D60 % p for p in res.primes_used)
+        if any("divides a denominator" in r.getMessage() for r in caplog.records):
+            hit.add(seed)
+    assert len(hit) >= 10

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from _gen import dense_system, sparse_system
+from odelim import ode
 from odelim.arith import fork_rng
 from odelim.errors import BadPrimeError, BudgetExceededError, ParseError
 from odelim.interp import SampleConfig, eliminate
@@ -357,6 +358,21 @@ def test_order_nu_seed_invariant_on_regressions():
         }
         assert len(vals) == 1
         assert vals.pop() <= sys_.n
+
+
+def test_order_nu_redraws_a_prime_dividing_a_denominator(monkeypatch):
+    q = (1 << 30) - 35  # a 30-bit prime
+    sys_ = parse_system(f"x1' = 1/{q}*x2\nx2' = -x1")
+    draw = ode.random_prime
+    drawn = []
+
+    def q_first(bits, rng):
+        drawn.append(q if not drawn else draw(bits, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(ode, "random_prime", q_first)
+    assert order_nu(sys_) == 2
+    assert drawn[0] == q and all(p < 1 << 30 for p in drawn)
 
 
 # --- jets -----------------------------------------------------------------

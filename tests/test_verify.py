@@ -1,6 +1,7 @@
 """Membership checks and the certified driver."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odelim.verify as verify_mod
-from odelim.arith import fork_rng, random_prime
+from odelim.arith import fork_rng, is_prime, random_prime
 from _gen import sparse_system
 from odelim.errors import BudgetExceededError, VerificationError
 from odelim.interp import SampleConfig, eliminate, eliminate_mod_p
@@ -34,6 +35,17 @@ FIXTURE_B = parse_system("x1' = x2^2 + x1*x2\nx2' = x2")
 FIXTURE_B_FMIN = (
     "-x1^2*x1' + x1^2*x1'' - x1*x1'*x1'' + x1'^3 - 4*x1'^2 + 4*x1'*x1'' - x1''^2"
 )
+
+
+def test_check_probabilistic_skips_primes_dividing_a_denominator():
+    # 16-bit trial primes often divide D, the product of the 60 largest
+    # 16-bit primes; such a trial is not executed and not counted
+    D = math.prod([q for q in range(65535, 60000, -2) if is_prime(q)][:60])
+    sys_ = parse_system(f"x1' = 1/{D}*x2\nx2' = -x1")
+    F = parse_derivative_poly(f"{D}*x1'' + x1")
+    reports = [check_probabilistic(sys_, F, prime_bits=16, seed=seed) for seed in range(10)]
+    assert all(rep.outcome for rep in reports)
+    assert any(rep.trials < 16 for rep in reports)
 
 
 def test_check_exact_accepts_the_true_relation():
