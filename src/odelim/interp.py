@@ -42,6 +42,7 @@ from .arith import (
     PrimeField,
     crt_absorb,
     fork_rng,
+    is_prime,
     random_prime,
     rational_reconstruct,
 )
@@ -59,6 +60,7 @@ _PROBE_POINTS = 32       # points of a membership probe
 _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PROBE_TRIES = 4         # probe primes skipped due to denominator collisions
+_PRIME_MISSES = 64       # draws of used or excluded primes before a search in order
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,12 @@ class EliminationResult:
 
 @dataclass(frozen=True)
 class EvalMatrix:
-    """Rows = sample points, columns = monomials (ascending graded-lex)."""
+    """Rows = sample points, columns = monomials (ascending graded-lex).
+
+    ``data`` is read-only when it comes from assemble; the matrices that
+    eliminate builds for itself are writable, and minimal_element
+    eliminates those in place.
+    """
 
     data: np.ndarray
     p: int
@@ -199,7 +206,9 @@ def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
         )
-    return _eval_matrix(sys_p, S, points)
+    N = _eval_matrix(sys_p, S, points)
+    N.data.flags.writeable = False
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +244,14 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
     kernel has dimension > 1, which the one-generator structure of the
     truncated relation ideal forbids; that is reported as an anomaly so
     the caller can retry with fresh points or a fresh prime.
+
+    A writable ``N.data`` (the matrices eliminate builds for itself) is
+    eliminated in place and left unspecified; a read-only one
+    (assemble's) is copied first.
     """
     if len(S.points) != N.cols:
         raise ValueError("monomial set does not match the matrix columns")
-    W = N.data.copy()
+    W = N.data if N.data.flags.writeable else N.data.copy()
     p = N.p
     degrees = [sum(e) for e in S.points]
     pivots, free, _ = _echelon(W, p, degrees=degrees)
@@ -424,17 +437,31 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     denominator = sys.denominator()
     returned = []  # drawn primes whose solve was dropped, next in the draw order
 
+    def eligible(p: int) -> bool:
+        return p > min_p and p not in used_primes and denominator % p != 0
+
     def fresh_prime() -> int:
         if returned:
             return returned.pop(0)
-        while True:
+        for _ in range(_PRIME_MISSES):
             p = random_prime(config.prime_bits, prime_rng)
+            if eligible(p):
+                used_primes.add(p)
+                return p
             if denominator % p == 0:
                 # the system has no image mod p; every phase skips it
                 log.debug("prime %d divides a denominator of the system, skipped", p)
-            elif p > min_p and p not in used_primes:
-                used_primes.add(p)
-                return p
+        # a run of misses: the eligible primes may be used up, so look for
+        # one in order rather than draw forever
+        lo = max(min_p + 1, 1 << (config.prime_bits - 1))
+        p = next((q for q in range(lo, 1 << config.prime_bits) if eligible(q) and is_prime(q)), None)
+        if p is None:
+            raise ComputationError(
+                f"every {config.prime_bits}-bit prime above {min_p} is used or divides a "
+                f"denominator of the system; increase prime_bits"
+            )
+        used_primes.add(p)
+        return p
 
     # first phase: the full bound at one prime reveals the support
     found = _agreed_support(sys, S, config, fresh_prime, 1, _ANOMALY_PRIMES)
@@ -557,10 +584,13 @@ def _available_memory() -> int | None:
 def _check_memory(nu: int, size: int) -> None:
     """Fail fast when the first phase cannot fit in the available memory.
 
-    A full-bound solve holds the size x size int64 evaluation matrix and
-    its echelon copy, 2 * size^2 entries of 8 bytes.  When that exceeds
-    MemAvailable the run raises ComputationError before drawing a single
-    point; when the available memory cannot be read there is no guard.
+    A full-bound solve eliminates its size x size int64 evaluation matrix
+    in place.  The estimate is twice that matrix, 2 * size^2 entries of
+    8 bytes: the matrix itself plus headroom for the float64 tiles of the
+    echelon's updates, its copies of 16-column leaves, and the point and
+    power tables of assembly.  When that exceeds MemAvailable the run
+    raises ComputationError before drawing a single point; when the
+    available memory cannot be read there is no guard.
     """
     available = _available_memory()
     if available is None:
@@ -569,9 +599,9 @@ def _check_memory(nu: int, size: int) -> None:
     if need > available:
         raise ComputationError(
             f"the order-{nu} support bound has {size} monomials; its first phase "
-            f"needs about {need / 1e9:.1f} GB ({need} bytes) for two {size}x{size} "
-            f"int64 matrices, but only {available / 1e9:.1f} GB ({available} bytes) "
-            f"is available"
+            f"needs about {need / 1e9:.1f} GB ({need} bytes) for a {size}x{size} "
+            f"int64 matrix and its elimination, but only {available / 1e9:.1f} GB "
+            f"({available} bytes) is available"
         )
 
 

@@ -6,24 +6,39 @@ float64 products below stay exact.  The precondition is not checked
 here: SampleConfig keeps prime_bits at most MAX_PRIME_BITS, and
 interp.assemble refuses larger primes.
 
-Forward elimination runs over panels of columns, in the style of the
-right-looking blocked LU of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
-TOMS 2008).  Inside a panel each pivot does a rank-1 update of the panel
-columns only, on raw int64 entries with delayed reduction.  Once the
-panel is factored, the pivot rows to its right are solved with the
-panel's k x k lower triangle, and the rows below take one product
-A22 -= L21 @ U12.  Those products run in float64 BLAS: the left factor is
-split into 15-bit halves, so every partial sum is below k * 2^15 * p,
-and k <= 128 with p < 2^30 keeps it below 2^52, exact in float64 (whose
-integers are exact up to 2^53).  The trailing block is updated in column
-chunks of at most 128, which keeps the float temporaries small.
+Forward elimination follows the recursive LU of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 2008; Jeannerod, Pernet and Storjohann,
+"Rank-profile revealing Gaussian elimination", J. Symb. Comput. 2013).
+The columns are taken in outer blocks of 128, right-looking.  A block
+is split in two: its left half is factored, applied to its right half,
+and the right half is factored in turn, recursively, down to leaves of
+at most 16 columns.  A leaf does one rank-1 update of its own columns
+per pivot, on a column-major copy with raw int64 entries and delayed
+reduction.  Each pivot keeps its raw value, so the pivots' rows and
+columns hold a lower triangle T; a leaf inverts its T by doubling
+(see leaf), and a block composes T^-1 from its halves,
+[[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with two small
+products.  Applying a factored block to the columns on its right turns
+its pivot rows into U12 = T^-1 A12 and the rows below into
+A22 - L21 @ U12, in tiles of 128 x 128.
 
-A matrix of at most 512 columns is a single panel.  On 2 cores one
-solve alone gains from panels above about 330 columns, but two solves at
-once (``threads=2``) share the cores with the BLAS threads, and there
-the panels only break even near 512 columns:
-(n+8) x n with n = 271, 512 and 640 took 48, 148 and 223 ms in panels
-against 36, 152 and 309 ms as one panel.
+Those products run in float64 BLAS: the left factor is split into 15-bit
+halves and the right one is paired with its multiple by 2^15 mod p
+(_left and _right), so a product of inner dimension k (twice the rank
+of the block) sums k terms of at most (2^15 - 1)(p - 1).  It is exact while
+k * (2^15 - 1) * (p - 1) < 2^53, which allows k <= 256 for p < 2^30:
+hence blocks of 128 columns.  The rows below the pivots are reduced only
+when their columns are factored.  Each update subtracts less than 2^53
+from an entry, and an entry meets at most cols / 128 + 3 updates before
+that, fewer than 2^10 for the at most 128,000 columns _echelon takes, so
+it stays inside int64.
+
+A matrix of at most 512 columns is a single rank-1 panel, on W itself.
+A solve alone gains from the recursion well below that: (n+8) x n with
+n = 271, 512 and 640 took 18, 47 and 87 ms recursive against 25, 134
+and 283 ms as one panel.  But two solves at once (``threads=2``) share
+the 2 cores with the BLAS threads: 40 solves of 279 x 271 on 2 pool
+threads took 0.78-0.95 s as single panels and 0.86-1.07 s recursive.
 """
 
 from __future__ import annotations
@@ -31,9 +46,11 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME_BITS = 30  # every prime is below 2^MAX_PRIME_BITS
-_PANEL = 128         # columns per panel; k = 128 keeps k * 2^15 * p < 2^53 for p < 2^30
-_SINGLE_PANEL = 512  # widest matrix eliminated as one panel
-_CHUNK = 128         # trailing-block columns per float64 product
+_BLOCK = 128         # columns per outer block: products of inner dimension 2 * 128
+_LEAF = 16           # widest block factored by rank-1 updates in a recursion
+_SINGLE_PANEL = 512  # widest matrix eliminated as one rank-1 panel
+_CHUNK = 128         # rows and columns of a tile of the trailing update
+_MAX_COLS = 128_000  # widest matrix: the delayed reduction stays inside int64
 
 
 def _moddot(a, b, p: int) -> int:
@@ -60,112 +77,206 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
     column), elimination stops after finishing the degree stratum that
     contains the first pivotless column, which is all the degree
     filtration needs.
-
-    Each panel step adds at most (p-1)^2 in magnitude to a raw int64
-    entry, so reducing every ``interval`` steps keeps everything inside
-    the 2^62 range.
     """
-    cols = W.shape[1]
-    width = cols if cols <= _SINGLE_PANEL else _PANEL
-    interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
-    pivots = []
-    free = []
-    limit = cols
+    if W.shape[1] >= _MAX_COLS:
+        raise ValueError(f"_echelon takes fewer than {_MAX_COLS} columns")
+    run = _Elimination(W, p, degrees)
+    if W.shape[1] <= _SINGLE_PANEL:
+        _unit_pivots(W, 0, run.leaf(0, W.shape[1], False)[0])
+        return run.pivots, run.free, run.limit
     c0 = 0
-    while c0 < limit:
-        c1 = min(c0 + width, limit)
-        r0 = rank = len(pivots)
+    while c0 < run.limit:
+        r0 = len(run.pivots)
+        c1 = min(c0 + _BLOCK, run.limit)
+        piv, inverse = run.factor(c0, c1, c1 < run.limit)
+        c1 = min(c1, run.limit)
+        if piv and c1 < run.limit:
+            _update(W, p, r0, piv, inverse, c1, run.limit)
+        _unit_pivots(W, r0, piv)
+        c0 = c1
+    return run.pivots, run.free, run.limit
+
+
+def _unit_pivots(W, r0, piv):
+    """Set the pivots of rows r0.. to 1 and clear the multipliers under them."""
+    for t, j in enumerate(piv, r0):
+        W[t, j] = 1
+        W[t + 1 :, j] = 0
+
+
+class _Elimination:
+    """The state of one _echelon call: pivots and free columns so far, and
+    ``limit``, the column where the degree filtration lets it stop."""
+
+    def __init__(self, W, p, degrees):
+        self.W, self.p, self.degrees = W, p, degrees
+        self.pivots = []
+        self.free = []
+        self.limit = W.shape[1]
+        # a rank-1 step adds at most (p-1)^2 in magnitude to a raw entry;
+        # reducing every ``interval`` steps keeps it inside the 2^62 range
+        self.interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
+
+    def factor(self, c0, c1, invert):
+        """Factor columns [c0, c1) on the rows below the pivots so far.
+
+        Returns the new pivot columns and, when ``invert``, the inverse
+        mod p of their triangle T (see leaf).  A block wider than _LEAF
+        factors its left half, applies it to its right half, factors
+        that, and composes T^-1 from the inverses of its halves:
+        [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]].
+        """
+        if c1 - c0 <= _LEAF:
+            return self.leaf(c0, c1, invert)
+        W, p = self.W, self.p
+        r0 = len(self.pivots)
+        cm = (c0 + c1) // 2
+        left, a_inv = self.factor(c0, cm, True)
+        c1 = min(c1, self.limit)
+        if cm >= c1:
+            return left, a_inv
+        if left:
+            _update(W, p, r0, left, a_inv, cm, c1)
+        right, b_inv = self.factor(cm, c1, invert)
+        if not invert:
+            return left + right, None
+        if not (left and right):
+            return left + right, a_inv if left else b_inv
+        ka, kb = len(left), len(right)
+        C = W[r0 + ka : r0 + ka + kb, left]
+        CA = (_left(C) @ _right(a_inv, p)).astype(np.int64) % p
+        BCA = (_left(b_inv) @ _right(CA, p)).astype(np.int64) % p
+        inverse = np.zeros((ka + kb, ka + kb), dtype=np.int64)
+        inverse[:ka, :ka] = a_inv
+        inverse[ka:, ka:] = b_inv
+        inverse[ka:, :ka] = -BCA % p
+        return left + right, inverse
+
+    def leaf(self, c0, c1, invert):
+        """Factor columns [c0, c1) by rank-1 updates on raw int64 entries.
+
+        Each pivot row keeps its raw pivot in place and the columns under
+        it keep the multipliers (L), so the pivots' rows and columns hold
+        the lower triangle T = D + L11 for the update of the columns to
+        their right; the rest of each pivot row is divided by its pivot.
+        A leaf of the recursion works on a reduced copy of its columns,
+        stored column by column, and writes it back; the single panel
+        works on W itself.
+        """
+        W, p = self.W, self.p
+        r0 = len(self.pivots)
+        copy = W.shape[1] > _SINGLE_PANEL
+        if copy:
+            P = np.ascontiguousarray(W[r0:, c0:c1].T)
+            P %= p
+            A = P.T
+        else:
+            A = W
+        rank = 0
         steps = 0
-        for c in range(c0, c1):
-            if c >= limit:
+        for j in range(c1 - c0):
+            c = c0 + j
+            if c >= self.limit:
                 break
-            W[rank:, c] %= p
-            nz = np.flatnonzero(W[rank:, c])
+            col = A[rank:, j]
+            col %= p
+            nz = col.nonzero()[0]
             if nz.size == 0:
-                if degrees is not None and not free:
-                    limit = next(
-                        (j for j in range(c + 1, cols) if degrees[j] != degrees[c]), cols
+                if self.degrees is not None and not self.free:
+                    degrees = self.degrees
+                    self.limit = next(
+                        (i for i in range(c + 1, len(degrees)) if degrees[i] != degrees[c]),
+                        len(degrees),
                     )
-                free.append(c)
+                self.free.append(c)
                 continue
             r = rank + int(nz[0])
             if r != rank:
-                W[[rank, r]] = W[[r, rank]]
-            # the raw pivot stays in place for the triangle solve below;
-            # the column under it keeps the multipliers (L)
-            inv = pow(int(W[rank, c]), p - 2, p)
-            row = W[rank, c + 1 : c1] % p * inv % p
-            W[rank, c + 1 : c1] = row
-            factors = W[rank + 1 :, c]
-            if np.count_nonzero(factors):
-                W[rank + 1 :, c + 1 : c1] -= np.outer(factors, row)
+                A[[rank, r]] = A[[r, rank]]
+                if copy:
+                    W[[r0 + rank, r0 + r]] = W[[r0 + r, r0 + rank]]
+            inv = pow(int(A[rank, j]), p - 2, p)
+            row = A[rank, j + 1 :] % p * inv % p
+            A[rank, j + 1 :] = row
+            if nz.size > 1:
+                block = A[rank + 1 :, j + 1 :]
+                # the product in the memory order of the block
+                block -= np.outer(row, A[rank + 1 :, j]).T if copy else np.outer(A[rank + 1 :, j], row)
                 steps += 1
-                if steps >= interval:
-                    W[rank + 1 :, c + 1 : c1] %= p
+                if steps >= self.interval:
+                    block %= p
                     steps = 0
             rank += 1
-            pivots.append(c)
-        c1 = min(c1, limit)
-        piv = pivots[r0:]
-        if piv:
-            if c1 < limit:
-                _update_right(W, p, r0, piv, c1, limit, interval)
-            for t, j in enumerate(piv, r0):
-                W[t, j] = 1
-                W[t + 1 :, j] = 0
-        c0 = c1
-    return pivots, free, limit
+            self.pivots.append(c)
+        if copy:
+            W[r0:, c0:c1] = A
+        piv = self.pivots[r0:]
+        if not (invert and piv):
+            return piv, None
+        # T = D (I - M) with M strictly lower, and (I - M)^-1 is
+        # (I + M)(I + M^2)(I + M^4)... up to M^(rank-1)
+        T = A[:rank, [c - c0 for c in piv]]
+        d_inv = np.array([pow(int(d), p - 2, p) for d in np.diagonal(T)])
+        M = -np.tril(T, -1) * d_inv[:, None] % p
+        S = M.copy()
+        S[range(rank), range(rank)] = 1
+        span = 2
+        while span < rank:
+            M = _matmod(M, M, p)
+            S = (S + _matmod(S, M, p)) % p
+            span *= 2
+        return piv, S * d_inv % p
 
 
-def _update_right(W, p, r0, piv, c1, limit, interval):
-    """Apply a factored panel to columns [c1, limit).
+def _matmod(A, B, p):
+    """A @ B mod p for small int64 matrices with entries in [0, p)."""
+    return ((A >> 15) @ B % p * 32768 + (A & 0x7FFF) @ B) % p
 
-    Rows r0.. of the panel's pivots hold the triangle D + L11 (raw
-    pivots on its diagonal) in the pivot columns, and the rows below hold
-    the multipliers L21 there.  The pivot rows become
-    U12 = (D + L11)^-1 A12 and the rows below A22 - L21 @ U12, mod p.
+
+def _update(W, p, r0, piv, inverse, a, b):
+    """Apply factored pivots to columns [a, b).
+
+    Rows r0.. of the pivots hold their triangle T in the pivot columns,
+    whose inverse is ``inverse``, and the rows below hold the multipliers
+    L21 there.  The pivot rows become U12 = T^-1 A12, reduced, and the
+    rows below A22 - L21 @ U12 up to a multiple of p, in tiles of at
+    most _CHUNK x _CHUNK.
     """
     rank = r0 + len(piv)
-    t_hi, t_lo = _halves(_lower_inverse(np.tril(W[r0:rank, piv]), p, interval))
-    l_hi, l_lo = _halves(W[rank:, piv])
-    for a in range(c1, limit, _CHUNK):
-        b = min(a + _CHUNK, limit)
-        u = _mulmod(t_hi, t_lo, (W[r0:rank, a:b] % p).astype(np.float64), p) % p
-        W[r0:rank, a:b] = u
-        block = W[rank:, a:b]
-        block -= _mulmod(l_hi, l_lo, u.astype(np.float64), p)
-        block %= p
+    # the pivot columns, as a slice when they are contiguous
+    lcols = slice(piv[0], piv[-1] + 1) if piv[-1] - piv[0] == len(piv) - 1 else piv
+    for s in range(a, b, _CHUNK):
+        e = min(s + _CHUNK, b)
+        u = W[r0:rank, s:e]
+        u %= p
+        u[...] = _left(inverse) @ _right(u, p)
+        u %= p
+        right = _right(u, p)
+        for i in range(rank, W.shape[0], _CHUNK):
+            block = W[i : i + _CHUNK, s:e]
+            block -= (_left(W[i : i + _CHUNK, lcols]) @ right).astype(np.int64)
 
 
-def _lower_inverse(T, p, interval):
-    """Inverse mod p of a lower-triangular int64 matrix with entries in [0, p)."""
-    k = len(T)
-    X = np.eye(k, dtype=np.int64)
-    steps = 0
-    for t in range(k):
-        X[t, : t + 1] = X[t, : t + 1] % p * pow(int(T[t, t]), p - 2, p) % p
-        X[t + 1 :, : t + 1] -= np.outer(T[t + 1 :, t], X[t, : t + 1])
-        steps += 1
-        if steps >= interval:
-            X[t + 1 :] %= p
-            steps = 0
-    return X
+def _left(A):
+    """[A >> 15 | A & 0x7FFF] as float64, for an int64 A with entries in [0, 2^30)."""
+    k = A.shape[1]
+    out = np.empty((A.shape[0], 2 * k))
+    np.right_shift(A, 15, out=out[:, :k], casting="unsafe")
+    np.bitwise_and(A, 0x7FFF, out=out[:, k:], casting="unsafe")
+    return out
 
 
-def _halves(A):
-    """float64 high and low 15-bit halves of an int64 array with entries in [0, 2^30)."""
-    return (A >> 15).astype(np.float64), (A & 0x7FFF).astype(np.float64)
+def _right(B, p):
+    """[B * 2^15 mod p ; B] as float64, for an int64 B with entries in [0, p).
 
-
-def _mulmod(hi, lo, B, p):
-    """int64 entries in [0, 2^53) congruent to (hi * 2^15 + lo) @ B mod p.
-
-    B holds entries of [0, p) as float64.  Each float64 product sums at
-    most k terms below 2^15 * p, which is exact while k * 2^15 * p < 2^53.
+    _left(A) @ _right(B, p) is congruent to A @ B mod p.  With k rows in
+    B it sums 2k terms of at most (2^15 - 1)(p - 1), exact in float64
+    while 2k (2^15 - 1)(p - 1) < 2^53.
     """
-    out = (hi @ B).astype(np.int64) % p
-    out <<= 15
-    out += (lo @ B).astype(np.int64)
+    k = B.shape[0]
+    out = np.empty((2 * k, B.shape[1]))
+    np.remainder(B << 15, p, out=out[:k], casting="unsafe")
+    out[k:] = B
     return out
 
 

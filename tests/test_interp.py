@@ -5,11 +5,12 @@ import math
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 
 from _gen import sparse_system
-from odelim import interp
+from odelim import interp, linalg
 from odelim.arith import is_prime
 from odelim.errors import ComputationError
 from odelim.interp import (
@@ -167,6 +168,38 @@ def test_minimal_element_squared_velocity():
     # x1^2*x1' is the graded-lex leading monomial, pinned to 1; the other
     # coefficient is -1/4 mod p since f_min = 4*x1^2*x1' - (x1'')^2
     assert terms == {(2, 1, 0): 1, (0, 0, 2): (-pow(4, P - 2, P)) % P}
+
+
+def test_minimal_element_leaves_assembled_matrix_unchanged():
+    S = enumerate_lattice(bound_inequalities(2, 1, 2))
+    pts = sample_points(SampleConfig(radius=500, seed=4), len(S) + 3, 2)
+    N = assemble(SQUARED.reduce_mod(P), S, pts)
+    before = N.data.copy()
+    assert not N.data.flags.writeable
+    assert minimal_element(N, S) is not None
+    assert (N.data == before).all()
+    # the pipeline's own matrix is writable and eliminated in place
+    own = interp._eval_matrix(SQUARED.reduce_mod(P), S, pts)
+    assert (own.data == before).all() and own.data.flags.writeable
+    assert minimal_element(own, S) == minimal_element(N, S)
+    assert (own.data != before).any()
+
+
+def test_solve_holds_one_matrix():
+    # 595 columns (every x1^a x1'^b with a + b <= 33) and no relation among
+    # them, so the echelon runs over every column on the recursive path
+    space = VarSpace.deriv(1)
+    S = LatticeSet(1, sorted(((a, b) for a in range(34) for b in range(34 - a)), key=space.sort_key))
+    assert len(S) > linalg._SINGLE_PANEL
+    config = SampleConfig(radius=5000, seed=7)
+    nbytes = len(S) * len(S) * 8
+    tracemalloc.start()
+    try:
+        assert eliminate_mod_p(HARMONIC, P, S, config) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nbytes
 
 
 def test_kernel_vectors_are_multiples_of_minimal():
@@ -333,7 +366,7 @@ def test_eliminate_prime_budget_exhausted():
 
 
 def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
-    # harmonic: 4 bound monomials, two 4x4 int64 matrices = 256 bytes
+    # harmonic: 4 bound monomials, twice a 4x4 int64 matrix = 256 bytes
     monkeypatch.setattr(interp, "_available_memory", lambda: 255)
     with pytest.raises(ComputationError, match=r"4 monomials.*\(256 bytes\).*\(255 bytes\)"):
         eliminate(HARMONIC)
@@ -458,3 +491,11 @@ def test_eliminate_skips_primes_dividing_a_denominator(caplog):
         if any("divides a denominator" in r.getMessage() for r in caplog.records):
             hit.add(seed)
     assert len(hit) >= 10
+
+
+def test_eliminate_stops_when_the_primes_run_out():
+    # only a handful of 16-bit primes lie above 2 * 32700, fewer than the
+    # 500-bit coefficient needs: the run fails instead of drawing forever
+    sys_ = parse_system(f"x1' = {3 ** 150}/{2 ** 200 + 1}*x2\nx2' = -x1")
+    with pytest.raises(ComputationError, match="16-bit prime above 65400"):
+        eliminate(sys_, SampleConfig(prime_bits=16, radius=32700, seed=1))

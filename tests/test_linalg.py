@@ -6,7 +6,7 @@ import pytest
 from odelim import linalg
 from odelim.linalg import _echelon, _kernel_vector
 
-PANEL = linalg._PANEL
+BLOCK = linalg._BLOCK
 SINGLE = linalg._SINGLE_PANEL
 P16 = 65521
 P25 = 33554393
@@ -78,7 +78,7 @@ def check(A, p, degrees=None, kernels=6):
         assert W[t, j] == 1
         assert not any(W[t, :j])
         assert all(0 <= int(x) < p for x in W[t, j:processed])
-    picks = sorted(set(free[:kernels] + free[-kernels:] + [f for f in free if f % PANEL in (0, PANEL - 1)]))
+    picks = sorted(set(free[:kernels] + free[-kernels:] + [f for f in free if f % BLOCK in (0, BLOCK - 1)]))
     for f in picks:
         assert [int(x) for x in _kernel_vector(W, p, pivots, f)] == reference_kernel(R, p, pivots, f)
     return got
@@ -86,8 +86,10 @@ def check(A, p, degrees=None, kernels=6):
 
 @pytest.fixture
 def small_panels(monkeypatch):
-    """Blocked path on small matrices: 8-column panels, 5-column chunks."""
-    monkeypatch.setattr(linalg, "_PANEL", 8)
+    """Recursive path on small matrices: 8-column outer blocks split down
+    to leaves of at most 3 columns, 5 x 5 update tiles."""
+    monkeypatch.setattr(linalg, "_BLOCK", 8)
+    monkeypatch.setattr(linalg, "_LEAF", 3)
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
     monkeypatch.setattr(linalg, "_CHUNK", 5)
 
@@ -97,7 +99,7 @@ def small_panels(monkeypatch):
 def test_small_panels_full_and_deficient(small_panels, p, cols):
     for rows in (cols - 3, cols, cols + 4):
         check(make_matrix(cols * rows, rows, cols, p), p)
-    # free columns inside a panel and on both sides of a panel edge
+    # free columns inside a block and on both sides of a block edge
     dependent = [c for c in (3, 7, 8, 12, 16) if c < cols]
     check(make_matrix(cols, cols + 2, cols, p, dependent, zero_rows=2, zero_at=(8, 16)), p)
 
@@ -109,38 +111,159 @@ def test_small_panels_early_stop(small_panels, p):
     for free_col, processed in ((3, 5), (12, 16), (15, 16), (17, 26), (25, 26), (30, 40)):
         A = make_matrix(free_col, cols + 2, cols, p, dependent=[free_col], zero_rows=1)
         assert check(A, p, degrees)[1:] == ([free_col], processed)
-    # the stratum of the first free column ends exactly on a panel edge
+    # the stratum of the first free column ends exactly on a block edge
     degrees = [0] * 16 + [1] * 24
     A = make_matrix(1, cols, cols, p, dependent=[10, 13])
     assert check(A, p, degrees)[1:] == ([10, 13], 16)
 
 
 @pytest.mark.parametrize("p", [P16, P25, P30])
-@pytest.mark.parametrize("cols", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3])
+@pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_panel_edges_blocked(monkeypatch, p, cols):
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
-    rows = min(cols, PANEL + 12)
-    dependent = [c for c in (5, PANEL - 1, PANEL, PANEL + 2) if c < cols]
-    check(make_matrix(cols, rows, cols, p, dependent, zero_rows=2, zero_at=(PANEL,)), p)
+    rows = min(cols, BLOCK + 12)
+    dependent = [c for c in (5, BLOCK - 1, BLOCK, BLOCK + 2) if c < cols]
+    check(make_matrix(cols, rows, cols, p, dependent, zero_rows=2, zero_at=(BLOCK,)), p)
 
 
 def test_panel_edges_early_stop_at_panel_boundary(monkeypatch):
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
-    cols = 2 * PANEL + 3
-    degrees = [0] * PANEL + [1] * (cols - PANEL)
-    A = make_matrix(7, PANEL + 10, cols, P25, dependent=[PANEL - 20])
-    assert check(A, P25, degrees)[1:] == ([PANEL - 20], PANEL)
-    degrees = [0] * (PANEL + 9) + [1] * (cols - PANEL - 9)
-    A = make_matrix(8, PANEL + 10, cols, P30, dependent=[PANEL + 4])
-    assert check(A, P30, degrees)[1:] == ([PANEL + 4], PANEL + 9)
+    cols = 2 * BLOCK + 3
+    degrees = [0] * BLOCK + [1] * (cols - BLOCK)
+    A = make_matrix(7, BLOCK + 10, cols, P25, dependent=[BLOCK - 20])
+    assert check(A, P25, degrees)[1:] == ([BLOCK - 20], BLOCK)
+    degrees = [0] * (BLOCK + 9) + [1] * (cols - BLOCK - 9)
+    A = make_matrix(8, BLOCK + 10, cols, P30, dependent=[BLOCK + 4])
+    assert check(A, P30, degrees)[1:] == ([BLOCK + 4], BLOCK + 9)
 
 
 @pytest.mark.parametrize("p", [P16, P30])
 @pytest.mark.parametrize("cols", [SINGLE - 1, SINGLE, SINGLE + 1])
 def test_crossover(monkeypatch, p, cols):
     calls = []
-    update = linalg._update_right
-    monkeypatch.setattr(linalg, "_update_right", lambda *a: calls.append(a[3]) or update(*a))
-    dependent = [PANEL // 2, PANEL, cols - 1]
-    check(make_matrix(cols, PANEL + 8, cols, p, dependent, zero_rows=1), p, kernels=3)
+    update = linalg._update
+    monkeypatch.setattr(linalg, "_update", lambda *a: calls.append(a[3]) or update(*a))
+    dependent = [BLOCK // 2, BLOCK, cols - 1]
+    check(make_matrix(cols, BLOCK + 8, cols, p, dependent, zero_rows=1), p, kernels=3)
     assert bool(calls) == (cols > SINGLE)
+
+
+@pytest.fixture
+def uneven(monkeypatch):
+    """11-column outer blocks split 5 + 6, then 2 + 3 and 3 + 3; 4 x 4 tiles."""
+    monkeypatch.setattr(linalg, "_BLOCK", 11)
+    monkeypatch.setattr(linalg, "_LEAF", 3)
+    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
+    monkeypatch.setattr(linalg, "_CHUNK", 4)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("cols", [11, 23, 37])
+def test_uneven_splits(uneven, p, cols):
+    for rows in (cols - 5, cols + 3):
+        check(make_matrix(cols + rows, rows, cols, p), p)
+    # leaves of the first block are [0, 2), [2, 5), [5, 8) and [8, 11)
+    dependent = [c for c in (2, 4, 7, 8, 13, 21, 22) if c < cols]
+    check(make_matrix(cols, cols + 1, cols, p, dependent, zero_rows=1, zero_at=(5, 11)), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_free_column_at_leaf_edges(uneven, p):
+    cols = 23
+    # column 0 is zero (the first column of the first leaf); 4 ends a leaf,
+    # 5 starts one, 10 ends the first block and 11 starts the second
+    A = make_matrix(3, cols + 2, cols, p)
+    for row in A:
+        row[0] = 0
+        for c in (4, 5, 10, 11):
+            row[c] = (row[c - 1] + 2 * row[c - 3]) % p
+    assert check(A, p)[1] == [0, 4, 5, 10, 11]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_stratum_ends_inside_right_half(small_panels, p):
+    # 8-column blocks split 4 + 4: a free column in the left half of the
+    # second block, with its stratum ending inside the right half
+    cols = 24
+    degrees = [0] * 3 + [1] * 11 + [2] * 10  # strata end at 3, 14 and 24
+    A = make_matrix(5, cols + 3, cols, p, dependent=[9, 12])
+    assert check(A, p, degrees)[1:] == ([9, 12], 14)
+    # and inside a leaf of the right half of the first block
+    degrees = [0] * 2 + [1] * 5 + [2] * 17  # strata end at 2, 7 and 24
+    A = make_matrix(6, cols + 3, cols, p, dependent=[3])
+    assert check(A, p, degrees)[1:] == ([3], 7)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fewer_rows_than_columns(small_panels, p):
+    cols = 40
+    for rows in (7, 8, 20):
+        pivots, free, _ = check(make_matrix(rows, rows, cols, p, dependent=[2]), p)
+        assert len(pivots) == rows and free[0] == 2
+    degrees = [c // 6 for c in range(cols)]  # strata of 6 columns
+    assert check(make_matrix(9, 9, cols, p), p, degrees)[1:] == ([9, 10, 11], 12)
+
+
+def test_p30_delayed_reduction_in_leaf(monkeypatch):
+    # at P30 a leaf reduces its raw entries every 4 rank-1 steps; entries
+    # next to p - 1 make every step add close to (p - 1)^2
+    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
+    assert linalg._Elimination(np.zeros((1, 1), dtype=np.int64), P30, None).interval == 4
+    rng = np.random.default_rng(30)
+    for cols in (linalg._LEAF, 3 * linalg._LEAF + 5):
+        A = (P30 - 1 - rng.integers(0, 3, size=(cols + 4, cols))).tolist()
+        check(A, P30)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_float_products_exact_at_the_bound(p):
+    # inner dimension 2 * _BLOCK = 256 with terms next to their largest,
+    # (2^15 - 1)(p - 1); at P30 twice the width rounds in float64
+    k = linalg._BLOCK
+    rng = np.random.default_rng(k)
+    A = p - 1 - rng.integers(0, 64, size=(4, k))
+    # B * 2^15 mod p lands next to p - 1 too
+    B = (p - 1 - rng.integers(0, 64, size=(k, 3))) * pow(1 << 15, p - 2, p) % p
+    got = (linalg._left(A) @ linalg._right(B, p)).astype(np.int64) % p
+    want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T] for row in A]
+    assert got.tolist() == want
+
+
+def test_rank_deficient_600_columns():
+    # too large for the Python reference: check W0 . v = 0 for every
+    # kernel vector and the rank profile set by the dependent columns
+    p, cols = P25, 600
+    rng = np.random.default_rng(600)
+    W0 = rng.integers(0, p, size=(cols + 8, cols))
+    dependent = [1, 127, 128, 255, 256, 300, 513, 599]
+    for c in dependent:
+        a, b = rng.integers(0, c, size=2)
+        W0[:, c] = (3 * W0[:, a] + 5 * W0[:, b]) % p
+    W = W0.copy()
+    pivots, free, processed = _echelon(W, p)
+    assert free == dependent and processed == cols
+    assert pivots == [c for c in range(cols) if c not in dependent]
+    for t, j in enumerate(pivots):
+        assert W[t, j] == 1 and not W[t, :j].any()
+    rows = W0.astype(object)
+    for f in free:
+        v = _kernel_vector(W, p, pivots, f).astype(object)
+        assert v[f] == 1 and not v[f + 1 :].any()
+        assert not any(x % p for x in rows @ v)
+
+
+def test_early_stop_leaves_later_columns_untouched(small_panels):
+    # 8-column blocks split 4 + 4 and then 2 + 2: the stop at column 2
+    # ends the first leaf, so no update reaches columns 2 and on
+    p, cols = P25, 24
+    degrees = [0] * 2 + [1] * 22
+    A = make_matrix(2, cols, cols, p, dependent=[1])
+    W0 = np.array(A, dtype=np.int64)
+    W = W0.copy()
+    assert _echelon(W, p, degrees)[1:] == ([1], 2)
+    assert (W[:, 2:] == W0[:, 2:]).all()
+
+
+def test_width_limit_of_delayed_reduction():
+    with pytest.raises(ValueError, match="fewer than 128000 columns"):
+        _echelon(np.zeros((1, linalg._MAX_COLS), dtype=np.int64), P25)
