@@ -6,7 +6,7 @@ satisfied by the coordinate x1, via modular evaluation–interpolation
 inside an explicit Newton-polytope support bound.
 """
 
-from .arith import BigRational, CrtAccumulator, PrimeField, rational_reconstruct
+from .arith import CrtAccumulator, PrimeField, rational_reconstruct
 from .errors import (
     BadPrimeError,
     BudgetExceededError,
@@ -28,13 +28,12 @@ from .support import (
     general_bound_inequality,
     hull_lattice_count,
 )
-from .verify import VerificationReport, certified_eliminate, check_exact, check_probabilistic
+from .verify import certified_eliminate, check_exact, check_probabilistic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadPrimeError",
-    "BigRational",
     "BudgetExceededError",
     "ComputationError",
     "CrtAccumulator",
@@ -53,7 +52,6 @@ __all__ = [
     "VarSpace",
     "Verification",
     "VerificationError",
-    "VerificationReport",
     "bound_inequalities",
     "certified_eliminate",
     "check_exact",

@@ -2,9 +2,9 @@
 
 Word-sized prime fields, deterministic prime generation, Chinese
 remaindering of residue vectors, and rational reconstruction.  Exact
-rationals are plain ``fractions.Fraction`` values throughout the package
-(re-exported here as ``BigRational``); Fraction already maintains the
-reduced-form / positive-denominator invariants we rely on.
+rationals are plain ``fractions.Fraction`` values throughout the package;
+Fraction already maintains the reduced-form / positive-denominator
+invariants we rely on.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadPrimeError
-
-BigRational = Fraction
 
 MAX_PRIME_BITS = 62
 

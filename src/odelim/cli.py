@@ -22,8 +22,8 @@ import time
 
 from .errors import BadPrimeError, ComputationError, OdelimError, ParseError, VerificationError
 from .interp import EliminationResult, SampleConfig, eliminate
-from .ode import OdeSystem, parse_system
-from .poly import QQ, SparsePoly, VarSpace, parse_derivative_poly
+from .ode import parse_system
+from .poly import parse_derivative_poly
 from .support import (
     SupportBound,
     bound_inequalities,
@@ -55,11 +55,6 @@ BENCH_EXAMPLES = [
 ]
 
 
-def parse_model(text: str) -> OdeSystem:
-    """Parse a model file into an exact-rational ODE system."""
-    return parse_system(text)
-
-
 def result_document(result: EliminationResult, timings: dict) -> dict:
     """JSON-serializable record of an elimination run."""
     f = result.f_min
@@ -81,15 +76,6 @@ def result_document(result: EliminationResult, timings: dict) -> dict:
         "verification": ver,
         "timings": {k: round(v, 4) for k, v in timings.items()},
     }
-
-
-def document_polynomial(doc: dict) -> SparsePoly:
-    """Rebuild the exact polynomial from a ResultDocument's term list."""
-    from fractions import Fraction
-
-    space = VarSpace.deriv(doc["nu"])
-    terms = {tuple(e): Fraction(num, den) for e, num, den in doc["terms"]}
-    return SparsePoly(space, QQ, terms)
 
 
 def _print_human(doc: dict) -> None:
@@ -115,7 +101,7 @@ def cmd_eliminate(args) -> int:
         print(f"error: cannot read {args.model}: {exc.strerror}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    system = parse_model(text).relabel(args.target)
+    system = parse_system(text).relabel(args.target)
     t1 = time.perf_counter()
     config = SampleConfig(
         radius=args.radius,
@@ -181,7 +167,7 @@ def _bench_tables() -> int:
 def _bench_examples() -> int:
     failures = 0
     for name, model, expected_text in BENCH_EXAMPLES:
-        system = parse_model(model)
+        system = parse_system(model)
         expected = parse_derivative_poly(expected_text).normalize_canonical()
         t0 = time.perf_counter()
         result = eliminate(system)

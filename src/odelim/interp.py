@@ -95,11 +95,18 @@ class SampleConfig:
 
 @dataclass(frozen=True)
 class Verification:
-    """How strongly the result has been checked."""
+    """How strongly a relation has been checked, and whether it passed.
+
+    The record of ``EliminationResult.verified`` and of verify's
+    check_exact and check_probabilistic.  trials counts the executed
+    random trials (0 for an exact check); failure_bound bounds the chance
+    that a non-member passes; outcome is None when nothing was checked.
+    """
 
     kind: str = "unverified"  # unverified | probabilistic | exact
     trials: int | None = None
     failure_bound: Fraction | None = None
+    outcome: bool | None = None
 
 
 @dataclass(frozen=True)

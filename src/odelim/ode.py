@@ -27,6 +27,8 @@ from .errors import BudgetExceededError, ParseError
 from .linalg import MAX_PRIME_BITS, _echelon
 from .poly import QQ, SparsePoly, VarSpace, _ExprParser, _tokenize
 
+_ORDER_REPS = 3  # Jacobian ranks taken by order_nu, each at a fresh prime and point
+
 
 class OdeSystem:
     """An autonomous system x_i' = g_i(x1..xn) with polynomial right-hand sides.
@@ -335,13 +337,13 @@ def _trim(poly: dict, p) -> dict:
     return {key: c for key, c in poly.items() if c}
 
 
-def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:
+def order_nu(sys: OdeSystem, rng=None) -> int:
     """Minimal differential order of x1, detected by Monte-Carlo rank.
 
     The order equals the rank of the n x n Jacobian of (x1, L(x1), ...,
     L^(n-1)(x1)) with respect to x1..xn.  The rank is taken by _echelon
     on int64 residues at random points over random 30-bit primes, keeping
-    the maximum over ``reps`` repetitions; a prime that divides a
+    the maximum over _ORDER_REPS repetitions; a prime that divides a
     denominator of the system is drawn again.  A random evaluation can
     only underestimate the generic rank, and an underestimate surfaces
     later as an empty interpolation kernel, which triggers escalation.
@@ -355,7 +357,7 @@ def order_nu(sys: OdeSystem, reps: int = 3, rng=None) -> int:
     jac = [[rows[i].partial_derivative(j) for j in range(n)] for i in range(n)]
     denominator = sys.denominator()
     best = 0
-    for _ in range(reps):
+    for _ in range(_ORDER_REPS):
         p = random_prime(MAX_PRIME_BITS, rng)
         while denominator % p == 0:
             p = random_prime(MAX_PRIME_BITS, rng)

@@ -263,9 +263,6 @@ class SparsePoly:
             raise ValueError("zero polynomial has no leading term")
         return self.sorted_terms()[-1]
 
-    def leading_monomial(self):
-        return self.leading_term()[0]
-
     def leading_coefficient(self):
         return self.leading_term()[1]
 

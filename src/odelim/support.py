@@ -54,10 +54,6 @@ class SupportBound:
             lines.append(" + ".join(terms) + f" <= {b}")
         return "\n".join(lines)
 
-    def as_lists(self):
-        """Machine-readable form: [[c_0, ..., c_nu, b], ...]."""
-        return [list(c) + [b] for c, b in self.inequalities]
-
     def __str__(self):
         return self.render()
 

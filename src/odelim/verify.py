@@ -13,7 +13,7 @@ passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .arith import fork_rng, random_prime
@@ -23,14 +23,6 @@ from .ode import OdeSystem, jet, lie_iterates, reduction
 from .poly import GF, SparsePoly
 
 CHECK_TERM_BUDGET = 500_000
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    mode: str  # "probabilistic" | "exact"
-    trials: int
-    failure_bound: Fraction
-    outcome: bool
 
 
 def _degree_growth(sys: OdeSystem, nu: int) -> int:
@@ -44,16 +36,17 @@ def check_probabilistic(
     trials: int = 16,
     prime_bits: int = 40,
     seed=0,
-) -> VerificationReport:
+) -> Verification:
     """Randomized membership test: evaluate F at jets of random points.
 
     Each trial draws a fresh prime p and a uniform point of GF(p)^n; the
     substituted polynomial has total degree at most deg F times the worst
     iterated-derivative degree, so a nonzero F slips through one trial
     with probability at most that degree over p.  A trial whose prime
-    divides a denominator of F or of the system is skipped; the report
+    divides a denominator of F or of the system is skipped; the record
     counts only the executed trials and carries their summed union bound
-    explicitly.  The primes may exceed 2^30: the jets are Python ints.
+    explicitly, which is 1 for a nonzero F when no trial ran.  The primes
+    may exceed 2^30: the jets are Python ints.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
@@ -61,7 +54,7 @@ def check_probabilistic(
     if nu > sys.n:
         raise ValueError(f"order {nu} exceeds the dimension {sys.n}")
     if F.is_zero:
-        return VerificationReport("probabilistic", 0, Fraction(0), True)
+        return Verification("probabilistic", 0, Fraction(0), True)
     degree_cap = max(F.total_degree(), 0) * _degree_growth(sys, nu)
     rng = fork_rng(seed, "verify")
     bound = Fraction(0)
@@ -84,10 +77,11 @@ def check_probabilistic(
         if Fp.evaluate(values) != 0:
             outcome = False
             break
-    return VerificationReport("probabilistic", executed, min(bound, Fraction(1)), outcome)
+    bound = min(bound, Fraction(1)) if executed else Fraction(1)
+    return Verification("probabilistic", executed, bound, outcome)
 
 
-def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGET) -> VerificationReport:
+def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGET) -> Verification:
     """Exact membership: substitute symbolically and compare R(F) with 0.
 
     ode.reduction replaces the highest derivative first so cancellation
@@ -105,38 +99,37 @@ def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGE
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
     residue = reduction(sys, F, max_terms=max_terms)
-    return VerificationReport("exact", 0, Fraction(0), residue.is_zero)
+    return Verification("exact", 0, Fraction(0), residue.is_zero)
 
 
 def certified_eliminate(
     sys: OdeSystem,
     config: SampleConfig | None = None,
-    max_terms: int = CHECK_TERM_BUDGET,
     max_rounds: int = 8,
 ) -> EliminationResult:
     """Eliminate, exact-check, and double the sampling radius until certified.
 
-    Returns the interpolation result with ``verified`` upgraded to exact.
-    A candidate that keeps failing the exact check after ``max_rounds``
-    doublings aborts with the last candidate attached to the error, since
+    Returns the interpolation result with check_exact's record as
+    ``verified``.  A candidate that keeps failing the exact check after
+    ``max_rounds`` rounds, or once doubling would put 2 * radius at or
+    above 2^prime_bits (points would no longer stay distinct modulo the
+    primes), aborts with the last candidate attached to the error, since
     that indicates a systematically unlucky configuration worth inspecting.
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     config = config or SampleConfig()
     radius = config.radius
-    last = None
-    for _ in range(max_rounds):
-        attempt = replace(config, radius=radius)
-        result = eliminate(sys, attempt)
-        last = result.f_min
-        report = check_exact(sys, result.f_min, max_terms=max_terms)
+    for rounds in range(1, max_rounds + 1):
+        result = eliminate(sys, replace(config, radius=radius))
+        report = check_exact(sys, result.f_min)
         if report.outcome:
-            return replace(
-                result,
-                verified=Verification("exact", trials=0, failure_bound=Fraction(0)),
-            )
+            return replace(result, verified=report)
         radius *= 2
+        if 2 * radius >= 1 << config.prime_bits:
+            break
     raise VerificationError(
-        f"no candidate passed the exact membership check after {max_rounds} "
-        f"radius doublings",
-        candidate=last,
+        f"no candidate passed the exact membership check in {rounds} rounds "
+        f"(sampling radius {config.radius} to {radius // 2})",
+        candidate=result.f_min,
     )

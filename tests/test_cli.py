@@ -12,7 +12,7 @@ import odelim.cli as cli
 from odelim import interp
 from odelim.errors import VerificationError
 from odelim.ode import parse_system
-from odelim.poly import parse_derivative_poly
+from odelim.poly import QQ, SparsePoly, VarSpace, parse_derivative_poly
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -26,14 +26,14 @@ def write_model(tmp_path, text, name="m.ode"):
 # --- model parsing --------------------------------------------------------
 
 
-def test_parse_model_harmonic():
-    sys_ = cli.parse_model("x1' = x2\nx2' = -x1")
+def test_parse_system_harmonic():
+    sys_ = parse_system("x1' = x2\nx2' = -x1")
     assert sys_.n == 2
 
 
-def test_parse_model_bluesky_exact_coefficients():
+def test_parse_system_bluesky_exact_coefficients():
     with open(os.path.join(MODELS, "bluesky.ode")) as fh:
-        sys_ = cli.parse_model(fh.read())
+        sys_ = parse_system(fh.read())
     assert sys_.n == 3
     # a = 0.456 enters x2' as the x2-coefficient a - 2 after expansion,
     # and b = 0.0357 is the constant term of x3'
@@ -45,16 +45,16 @@ def test_parse_model_bluesky_exact_coefficients():
     assert sys_.g[0].coefficient((1, 0, 0)) == 2 + a
 
 
-def test_parse_model_rejects_rhs_derivative():
+def test_parse_system_rejects_rhs_derivative():
     with pytest.raises(Exception) as err:
-        cli.parse_model("x1' = x2'\nx2' = x1")
+        parse_system("x1' = x2'\nx2' = x1")
     assert "derivative" in str(err.value)
 
 
 def test_all_shipped_models_parse():
     for name in os.listdir(MODELS):
         with open(os.path.join(MODELS, name)) as fh:
-            sys_ = cli.parse_model(fh.read())
+            sys_ = parse_system(fh.read())
         assert sys_.n >= 1
 
 
@@ -119,9 +119,10 @@ def test_cmd_eliminate_json_round_trip(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["format"] == 1
     assert doc["nu"] == 2
-    rebuilt = cli.document_polynomial(doc)
+    terms = {tuple(e): Fraction(num, den) for e, num, den in doc["terms"]}
+    rebuilt = SparsePoly(VarSpace.deriv(doc["nu"]), QQ, terms)
     assert rebuilt == parse_derivative_poly(doc["f_min"])
-    assert doc["verification"]["mode"] == "unverified"
+    assert doc["verification"] == {"mode": "unverified"}
     assert doc["primes_used"]
     assert doc["timings"]["total"] >= 0
 
@@ -130,8 +131,7 @@ def test_cmd_eliminate_certify_marks_exact(tmp_path, capsys):
     path = write_model(tmp_path, "x1' = x2\nx2' = -x1")
     assert cli.main(["eliminate", path, "--certify", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["verification"]["mode"] == "exact"
-    assert doc["verification"]["failure_bound"] == "0"
+    assert doc["verification"] == {"mode": "exact", "trials": 0, "failure_bound": "0"}
 
 
 def test_cmd_eliminate_low_order_escalates(tmp_path, capsys, caplog):
@@ -271,5 +271,5 @@ def test_cmd_bench_bad_suite():
 def test_model_print_parse_round_trip():
     for name in os.listdir(MODELS):
         with open(os.path.join(MODELS, name)) as fh:
-            sys_ = cli.parse_model(fh.read())
+            sys_ = parse_system(fh.read())
         assert parse_system(sys_.render()).g == sys_.g

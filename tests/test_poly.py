@@ -183,7 +183,7 @@ def test_graded_lex_order():
     monomials = [e for e, _ in f.sorted_terms()]
     degrees = [sum(e) for e in monomials]
     assert degrees == sorted(degrees)
-    lead = f.leading_monomial()
+    lead = f.leading_term()[0]
     assert lead == (1, 1, 0)  # x1*x1' beats x1'' by degree
 
 

@@ -162,12 +162,12 @@ def test_lattice_set_behaviour():
     assert len(set(ordered)) == len(ordered)
 
 
-def test_render_and_as_lists():
+def test_render_and_inequalities():
     b = bound_inequalities(2, 1, 2)
     text = b.render()
     assert "e0 + e1 + 2*e2 <= 4" in text
     assert "e0 + 2*e1 + 3*e2 <= 6" in text
-    assert sorted(b.as_lists()) == [[1, 1, 2, 4], [1, 2, 3, 6]]
+    assert sorted(b.inequalities) == [((1, 1, 2), 4), ((1, 2, 3), 6)]
 
 
 # --- Newton-polytope lattice counting --------------------------------------

@@ -13,11 +13,11 @@ import odelim.verify as verify_mod
 from odelim.arith import fork_rng, is_prime, random_prime
 from _gen import sparse_system
 from odelim.errors import BudgetExceededError, VerificationError
-from odelim.interp import SampleConfig, eliminate, eliminate_mod_p
+from odelim.interp import SampleConfig, Verification, eliminate, eliminate_mod_p
 from odelim.ode import OdeSystem, parse_system
 from odelim.poly import QQ, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import bound_inequalities, enumerate_lattice
-from odelim.verify import VerificationReport, certified_eliminate, check_exact, check_probabilistic
+from odelim.verify import certified_eliminate, check_exact, check_probabilistic
 
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
 SQUARED = parse_system("x1' = x2^2\nx2' = x1")
@@ -50,12 +50,12 @@ def test_check_probabilistic_skips_primes_dividing_a_denominator():
 
 def test_check_exact_accepts_the_true_relation():
     rep = check_exact(HARMONIC, parse_derivative_poly("x1'' + x1"))
-    assert rep == VerificationReport("exact", 0, Fraction(0), True)
+    assert rep == Verification("exact", 0, Fraction(0), True)
 
 
 def test_check_exact_rejects_a_non_relation():
     rep = check_exact(HARMONIC, parse_derivative_poly("x1'' - x1"))
-    assert rep.mode == "exact"
+    assert rep.kind == "exact"
     assert rep.failure_bound == 0
     assert not rep.outcome
 
@@ -69,7 +69,7 @@ def test_check_exact_budget_is_a_hard_error():
 
 def test_check_probabilistic_bound_is_explicit():
     rep = check_probabilistic(HARMONIC, parse_derivative_poly("x1'' + x1"), trials=10)
-    assert rep.mode == "probabilistic"
+    assert rep.kind == "probabilistic"
     assert rep.trials == 10
     assert 0 < rep.failure_bound < 1
     assert rep.outcome
@@ -84,6 +84,20 @@ def test_check_probabilistic_counts_only_executed_trials():
     assert rep.trials == 3
     # degree cap 1 and primes of at least 2^39 in each executed trial
     assert 0 < rep.failure_bound <= Fraction(3, 1 << 39)
+
+
+def test_check_probabilistic_without_trials_bounds_nothing():
+    # a non-member that no trial examined passes with failure bound 1, not 0
+    non_member = parse_derivative_poly("x1'' - x1")
+    rep = check_probabilistic(HARMONIC, non_member, trials=0)
+    assert (rep.trials, rep.failure_bound, rep.outcome) == (0, 1, True)
+    # the same when the only trial's prime divides a denominator of F
+    p0 = random_prime(40, fork_rng(0, "verify"))
+    rep = check_probabilistic(HARMONIC, non_member.scale(Fraction(1, p0)), trials=1, seed=0)
+    assert (rep.trials, rep.failure_bound, rep.outcome) == (0, 1, True)
+    # the zero polynomial is a member whatever ran
+    z = SparsePoly.zero(VarSpace.deriv(2), QQ)
+    assert check_probabilistic(HARMONIC, z, trials=0).failure_bound == 0
 
 
 def test_check_probabilistic_catches_non_members():
@@ -139,14 +153,31 @@ def test_certified_matches_plain_eliminate():
 def test_certified_iteration_cap_carries_candidate(monkeypatch):
     calls = []
 
-    def always_fail(sys_, F, max_terms=0):
+    def always_fail(sys_, F):
         calls.append(F)
-        return VerificationReport("exact", 0, Fraction(0), False)
+        return Verification("exact", 0, Fraction(0), False)
 
     monkeypatch.setattr(verify_mod, "check_exact", always_fail)
     with pytest.raises(VerificationError) as err:
         verify_mod.certified_eliminate(HARMONIC, max_rounds=3)
     assert len(calls) == 3
+    assert err.value.candidate == parse_derivative_poly("x1'' + x1")
+
+
+def test_certified_stops_doubling_at_the_prime_size(monkeypatch):
+    # with 16-bit primes the radius may grow to 30288 (2 * 30288 < 2^16);
+    # one more doubling would make eliminate reject the configuration
+    radii = []
+
+    def recording_eliminate(sys_, config):
+        radii.append(config.radius)
+        return eliminate(sys_, config)
+
+    monkeypatch.setattr(verify_mod, "eliminate", recording_eliminate)
+    monkeypatch.setattr(verify_mod, "check_exact", lambda sys_, F: Verification("exact", 0, Fraction(0), False))
+    with pytest.raises(VerificationError) as err:
+        verify_mod.certified_eliminate(HARMONIC, SampleConfig(prime_bits=16))
+    assert radii == [1893, 3786, 7572, 15144, 30288]
     assert err.value.candidate == parse_derivative_poly("x1'' + x1")
 
 
