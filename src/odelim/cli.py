@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--certify", action="store_true",
                    help="exact-check the result, doubling the radius on failure")
-    p.add_argument("--prime-bits", type=int, default=25, dest="prime_bits",
-                   help="bit size of the working primes, 16 to 30 (default 25)")
+    p.add_argument("--prime-bits", type=int, default=23, dest="prime_bits",
+                   help="bit size of the working primes, 16 to 23 (default 23)")
     p.add_argument("--max-primes", type=int, default=200, dest="max_primes",
                    help="abort after this many primes (default 200)")
     p.add_argument("--order", type=int, default=None,

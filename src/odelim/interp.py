@@ -70,14 +70,15 @@ class SampleConfig:
     radius is the half-width of the integer sampling box; seed drives every
     random choice (points, primes, probes) through labeled forks, so equal
     seeds give equal runs; prime_bits is the size of the working primes,
-    at most linalg.MAX_PRIME_BITS (30) so that residues stay int64;
+    at most linalg.MAX_PRIME_BITS (23) so that the echelon's float64
+    products stay exact;
     max_primes caps the primes that enter the CRT; nu_override skips
     order detection; threads is the number of per-prime solves run at once.
     """
 
     radius: int = 1893
     seed: int = 0
-    prime_bits: int = 25
+    prime_bits: int = 23
     max_primes: int = 200
     nu_override: int | None = None
     threads: int = 1
@@ -208,7 +209,7 @@ def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
     if not isinstance(sys_p.ring, PrimeField):
         raise ValueError("assemble expects a system reduced modulo a prime")
     if sys_p.ring.p >> MAX_PRIME_BITS:
-        raise ValueError(f"assemble needs a prime below 2^{MAX_PRIME_BITS} (int64 residues)")
+        raise ValueError(f"assemble needs a prime below 2^{MAX_PRIME_BITS} (exact echelon products)")
     if len(points) < len(S.points):
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
@@ -488,8 +489,11 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     # CRT phase on the shrunk support.  `pending` holds a call returning
     # the solve of each drawn prime; up to `threads` solves run ahead in
     # the pool, and their results are taken in the order their primes were
-    # drawn, so the run is the same for every thread count.  With one
-    # thread each solve runs here when its turn comes: on a 2-core machine
+    # drawn, so the run is the same for every thread count.  Once a
+    # reconstruction exists, the next absorbed prime usually ends the run,
+    # so no further solve is started ahead of it: it would be discarded,
+    # and its prime would shift the probe's draw.  With one thread each
+    # solve runs here when its turn comes: on a 2-core machine
     # a one-worker pool made ~10 ms solves about 25 % slower (a thread
     # handoff per prime) and raised the peak memory of 1292-column solves
     # from 75 to 88 MB (the worker allocates from a malloc arena of its own).
@@ -501,7 +505,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
         previous = None
         pending = []
         while len(primes_used) < config.max_primes:
-            while len(pending) < threads:
+            while len(pending) < (threads if previous is None else 1):
                 q = fresh_prime()
                 pending.append((q, defer(_solve_on_support, sys, q, support, nu, config)))
             p, solve = pending.pop(0)
@@ -593,11 +597,13 @@ def _check_memory(nu: int, size: int) -> None:
 
     A full-bound solve eliminates its size x size int64 evaluation matrix
     in place.  The estimate is twice that matrix, 2 * size^2 entries of
-    8 bytes: the matrix itself plus headroom for the float64 tiles of the
-    echelon's updates, its copies of 16-column leaves, and the point and
-    power tables of assembly.  When that exceeds MemAvailable the run
-    raises ComputationError before drawing a single point; when the
-    available memory cannot be read there is no guard.
+    8 bytes: the matrix itself plus headroom for the float64 operands of
+    the echelon's updates (at most 128 columns wide: the residues are
+    converted as they are, not split in halves), its copies of 16-column
+    leaves, and the point and power tables of assembly.  When that
+    exceeds MemAvailable the run raises ComputationError before drawing
+    a single point; when the available memory cannot be read there is no
+    guard.
     """
     available = _available_memory()
     if available is None:

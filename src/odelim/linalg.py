@@ -1,10 +1,9 @@
 """Dense linear algebra modulo a prime, on numpy arrays.
 
 Every function here takes int64 arrays with entries reduced mod a prime
-p < 2^30: a product of two residues then fits in 60 bits, and the
-float64 products below stay exact.  The precondition is not checked
-here: SampleConfig keeps prime_bits at most MAX_PRIME_BITS, and
-interp.assemble refuses larger primes.
+p < 2^MAX_PRIME_BITS = 2^23.  _echelon refuses larger primes, SampleConfig
+keeps prime_bits at most MAX_PRIME_BITS, and interp.assemble refuses
+larger primes too.
 
 Forward elimination follows the recursive LU of FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 2008; Jeannerod, Pernet and Storjohann,
@@ -13,25 +12,26 @@ The columns are taken in outer blocks of 128, right-looking.  A block
 is split in two: its left half is factored, applied to its right half,
 and the right half is factored in turn, recursively, down to leaves of
 at most 16 columns.  A leaf does one rank-1 update of its own columns
-per pivot, on a column-major copy with raw int64 entries and delayed
-reduction.  Each pivot keeps its raw value, so the pivots' rows and
-columns hold a lower triangle T; a leaf inverts its T by doubling
-(see leaf), and a block composes T^-1 from its halves,
+per pivot, on a column-major copy with raw int64 entries, each reduced
+when its column is reached.  Each pivot keeps its raw value, so the
+pivots' rows and columns hold a lower triangle T; a leaf inverts its T
+by doubling (see leaf), and a block composes T^-1 from its halves,
 [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with two small
 products.  Applying a factored block to the columns on its right turns
 its pivot rows into U12 = T^-1 A12 and the rows below into
 A22 - L21 @ U12, in tiles of 128 x 128.
 
-Those products run in float64 BLAS: the left factor is split into 15-bit
-halves and the right one is paired with its multiple by 2^15 mod p
-(_left and _right), so a product of inner dimension k (twice the rank
-of the block) sums k terms of at most (2^15 - 1)(p - 1).  It is exact while
-k * (2^15 - 1) * (p - 1) < 2^53, which allows k <= 256 for p < 2^30:
-hence blocks of 128 columns.  The rows below the pivots are reduced only
-when their columns are factored.  Each update subtracts less than 2^53
-from an entry, and an entry meets at most cols / 128 + 3 updates before
-that, fewer than 2^10 for the at most 128,000 columns _echelon takes, so
-it stays inside int64.
+Those products run in float64 BLAS on the residues as they are.  A
+product of inner dimension k sums k terms of at most (p - 1)^2, so it is
+exact while k (p - 1)^2 < 2^53 (the bound of FFLAS-FFPACK), which holds
+for k <= 128 when p < 2^23: hence blocks of 128 columns.  The same bound
+keeps int64 entries in range.  A rank-1 step of a leaf adds less than
+2^46 to an entry, so the at most 512 steps of a panel stay below 2^55
+without an intermediate reduction.  The rows below the pivots are
+reduced only when their columns are factored.  Each update subtracts
+less than 2^53 from an entry, and an entry meets at most cols / 128 + 3
+updates before that, fewer than 2^10 for the at most 128,000 columns
+_echelon takes, so it stays inside int64.
 
 A matrix of at most 512 columns is a single rank-1 panel, on W itself.
 A solve alone gains from the recursion well below that: (n+8) x n with
@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_PRIME_BITS = 30  # every prime is below 2^MAX_PRIME_BITS
-_BLOCK = 128         # columns per outer block: products of inner dimension 2 * 128
+MAX_PRIME_BITS = 23  # every prime is below 2^MAX_PRIME_BITS
+_BLOCK = 128         # columns per outer block: products of inner dimension 128
 _LEAF = 16           # widest block factored by rank-1 updates in a recursion
 _SINGLE_PANEL = 512  # widest matrix eliminated as one rank-1 panel
 _CHUNK = 128         # rows and columns of a tile of the trailing update
@@ -80,6 +80,8 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
     """
     if W.shape[1] >= _MAX_COLS:
         raise ValueError(f"_echelon takes fewer than {_MAX_COLS} columns")
+    if p >> MAX_PRIME_BITS:
+        raise ValueError(f"_echelon needs a prime below 2^{MAX_PRIME_BITS} (exact float64 products)")
     run = _Elimination(W, p, degrees)
     if W.shape[1] <= _SINGLE_PANEL:
         _unit_pivots(W, 0, run.leaf(0, W.shape[1], False)[0])
@@ -113,9 +115,6 @@ class _Elimination:
         self.pivots = []
         self.free = []
         self.limit = W.shape[1]
-        # a rank-1 step adds at most (p-1)^2 in magnitude to a raw entry;
-        # reducing every ``interval`` steps keeps it inside the 2^62 range
-        self.interval = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
 
     def factor(self, c0, c1, invert):
         """Factor columns [c0, c1) on the rows below the pivots so far.
@@ -144,8 +143,7 @@ class _Elimination:
             return left + right, a_inv if left else b_inv
         ka, kb = len(left), len(right)
         C = W[r0 + ka : r0 + ka + kb, left]
-        CA = (_left(C) @ _right(a_inv, p)).astype(np.int64) % p
-        BCA = (_left(b_inv) @ _right(CA, p)).astype(np.int64) % p
+        BCA = _matmod(b_inv, _matmod(C, a_inv, p), p)
         inverse = np.zeros((ka + kb, ka + kb), dtype=np.int64)
         inverse[:ka, :ka] = a_inv
         inverse[ka:, ka:] = b_inv
@@ -161,7 +159,8 @@ class _Elimination:
         their right; the rest of each pivot row is divided by its pivot.
         A leaf of the recursion works on a reduced copy of its columns,
         stored column by column, and writes it back; the single panel
-        works on W itself.
+        works on W itself.  Raw entries are reduced only as their columns
+        are reached (see the module docstring).
         """
         W, p = self.W, self.p
         r0 = len(self.pivots)
@@ -173,7 +172,6 @@ class _Elimination:
         else:
             A = W
         rank = 0
-        steps = 0
         for j in range(c1 - c0):
             c = c0 + j
             if c >= self.limit:
@@ -202,10 +200,6 @@ class _Elimination:
                 block = A[rank + 1 :, j + 1 :]
                 # the product in the memory order of the block
                 block -= np.outer(row, A[rank + 1 :, j]).T if copy else np.outer(A[rank + 1 :, j], row)
-                steps += 1
-                if steps >= self.interval:
-                    block %= p
-                    steps = 0
             rank += 1
             self.pivots.append(c)
         if copy:
@@ -229,8 +223,10 @@ class _Elimination:
 
 
 def _matmod(A, B, p):
-    """A @ B mod p for small int64 matrices with entries in [0, p)."""
-    return ((A >> 15) @ B % p * 32768 + (A & 0x7FFF) @ B) % p
+    """A @ B mod p for int64 matrices with entries in [0, p) and an inner
+    dimension of at most 128, in float64 BLAS (exact, see the module
+    docstring)."""
+    return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
 
 
 def _update(W, p, r0, piv, inverse, a, b):
@@ -249,35 +245,11 @@ def _update(W, p, r0, piv, inverse, a, b):
         e = min(s + _CHUNK, b)
         u = W[r0:rank, s:e]
         u %= p
-        u[...] = _left(inverse) @ _right(u, p)
-        u %= p
-        right = _right(u, p)
+        u[...] = _matmod(inverse, u, p)
+        right = u.astype(np.float64)
         for i in range(rank, W.shape[0], _CHUNK):
             block = W[i : i + _CHUNK, s:e]
-            block -= (_left(W[i : i + _CHUNK, lcols]) @ right).astype(np.int64)
-
-
-def _left(A):
-    """[A >> 15 | A & 0x7FFF] as float64, for an int64 A with entries in [0, 2^30)."""
-    k = A.shape[1]
-    out = np.empty((A.shape[0], 2 * k))
-    np.right_shift(A, 15, out=out[:, :k], casting="unsafe")
-    np.bitwise_and(A, 0x7FFF, out=out[:, k:], casting="unsafe")
-    return out
-
-
-def _right(B, p):
-    """[B * 2^15 mod p ; B] as float64, for an int64 B with entries in [0, p).
-
-    _left(A) @ _right(B, p) is congruent to A @ B mod p.  With k rows in
-    B it sums 2k terms of at most (2^15 - 1)(p - 1), exact in float64
-    while 2k (2^15 - 1)(p - 1) < 2^53.
-    """
-    k = B.shape[0]
-    out = np.empty((2 * k, B.shape[1]))
-    np.remainder(B << 15, p, out=out[:k], casting="unsafe")
-    out[k:] = B
-    return out
+            block -= (W[i : i + _CHUNK, lcols].astype(np.float64) @ right).astype(np.int64)
 
 
 def _kernel_vector(W: np.ndarray, p: int, pivots, free_col: int):

@@ -342,11 +342,12 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
 
     The order equals the rank of the n x n Jacobian of (x1, L(x1), ...,
     L^(n-1)(x1)) with respect to x1..xn.  The rank is taken by _echelon
-    on int64 residues at random points over random 30-bit primes, keeping
-    the maximum over _ORDER_REPS repetitions; a prime that divides a
-    denominator of the system is drawn again.  A random evaluation can
-    only underestimate the generic rank, and an underestimate surfaces
-    later as an empty interpolation kernel, which triggers escalation.
+    on int64 residues at random points over random 23-bit primes (the
+    widest it takes), keeping the maximum over _ORDER_REPS repetitions;
+    a prime that divides a denominator of the system is drawn again.  A
+    random evaluation can only underestimate the generic rank, and an
+    underestimate surfaces later as an empty interpolation kernel, which
+    triggers escalation.
     """
     if sys.ring != QQ:
         raise ValueError("order detection expects an exact-rational system")

@@ -166,10 +166,10 @@ def test_cmd_eliminate_threads_flag(tmp_path, capsys):
     assert doc["f_min"] == "x1'' + x1"
 
 
-def test_cmd_eliminate_prime_bits_above_30_is_usage_error(tmp_path, capsys):
+def test_cmd_eliminate_prime_bits_above_23_is_usage_error(tmp_path, capsys):
     path = write_model(tmp_path, "x1' = x2\nx2' = -x1")
-    assert cli.main(["eliminate", path, "--prime-bits", "31"]) == 2
-    assert "[16, 30]" in capsys.readouterr().err
+    assert cli.main(["eliminate", path, "--prime-bits", "24"]) == 2
+    assert "[16, 23]" in capsys.readouterr().err
 
 
 def test_cmd_eliminate_missing_file(capsys):

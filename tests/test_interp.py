@@ -31,8 +31,8 @@ SQUARED = parse_system("x1' = x2^2\nx2' = x1")
 QUAD43 = parse_system("x1' = x1^2 + x1*x2 + x2^2 + 1\nx2' = x2")
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 P = 1048583  # 21-bit prime
-P30_BELOW = (1 << 30) - 35
-P30_ABOVE = (1 << 30) + 3
+P23 = 8388593  # the largest prime below 2^23
+P23_ABOVE = 8388617  # the smallest prime above 2^23
 # the 60 largest 16-bit primes: one 16-bit prime in about 50 divides it
 D60 = math.prod([q for q in range(65535, 60000, -2) if is_prime(q)][:60])
 
@@ -85,8 +85,8 @@ def test_assemble_harmonic_negated_columns():
 
 
 def test_assemble_matches_symbolic_reduction():
-    # P, and the largest prime below 2^30, where int64 entries are at their limit
-    for p, max_nu in ((P, 2), (P30_BELOW, 3)):
+    # P, and the largest prime the echelon takes
+    for p, max_nu in ((P, 2), (P23, 3)):
         rng = random.Random(31)
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -111,10 +111,10 @@ def test_assemble_matches_symbolic_reduction():
                 h = reduction(sys_, mono).map_to(field)
                 for j, pt in enumerate(pts):
                     assert N.data[j][i] == h.evaluate([c % p for c in pt])
-    # residues are int64 only: the smallest prime above 2^30 is refused
+    # the smallest prime above 2^23 is refused
     S = LatticeSet(2, [(0, 0, 0)])
-    with pytest.raises(ValueError, match="2\\^30"):
-        assemble(HARMONIC.reduce_mod(P30_ABOVE), S, [(1, 2)])
+    with pytest.raises(ValueError, match="2\\^23"):
+        assemble(HARMONIC.reduce_mod(P23_ABOVE), S, [(1, 2)])
 
 
 # --- kernels --------------------------------------------------------------
@@ -356,8 +356,8 @@ def test_eliminate_order_override_validated():
 
 
 def test_eliminate_radius_prime_bits_guard():
-    with pytest.raises(ValueError):
-        eliminate(HARMONIC, SampleConfig(radius=1 << 30, prime_bits=25))
+    with pytest.raises(ValueError, match="prime_bits too small for the sampling radius"):
+        eliminate(HARMONIC, SampleConfig(radius=1 << 30, prime_bits=23))
 
 
 def test_eliminate_prime_budget_exhausted():
@@ -374,11 +374,11 @@ def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
     assert eliminate(HARMONIC).f_min == parse_derivative_poly("x1'' + x1")
 
 
-def test_sample_config_refuses_primes_above_30_bits():
-    # residues are int64 and the echelon is exact only below 2^30
-    assert SampleConfig(prime_bits=30).prime_bits == 30
-    with pytest.raises(ValueError, match=r"\[16, 30\]"):
-        SampleConfig(prime_bits=31)
+def test_sample_config_refuses_primes_above_23_bits():
+    # the echelon's float64 products are exact only below 2^23
+    assert SampleConfig().prime_bits == SampleConfig(prime_bits=23).prime_bits == 23
+    with pytest.raises(ValueError, match=r"\[16, 23\]"):
+        SampleConfig(prime_bits=24)
 
 
 def test_memory_guard_reads_memory_once_per_order(monkeypatch):
@@ -399,7 +399,7 @@ def test_available_memory_reads_meminfo():
 
 # reference runs of the shipped fast models: f_min and primes_used depend
 # only on the seed, never on the thread count or on how the code is arranged
-PINNED_PRIMES = {0: (20021429, 22287511, 32189329), 7: (18900113, 19674013, 23682781)}
+PINNED_PRIMES = {0: (8184829, 5577457, 7303211), 7: (4725029, 7386761, 4217779)}
 PINNED_FMIN = {
     "harmonic": "x1'' + x1",
     "squared_velocity": "4*x1^2*x1' - (x1'')^2",
@@ -420,6 +420,24 @@ def test_eliminate_pinned_runs():
                 res = eliminate(sys_, SampleConfig(seed=seed, threads=threads))
                 assert res.f_min.render() == fmin
                 assert res.primes_used == primes
+
+
+def test_threads_draw_no_prime_past_a_reconstruction(monkeypatch):
+    # once a reconstruction exists no solve runs ahead, so a run with two
+    # threads draws exactly the primes of a sequential one, probe included
+    draw = interp.random_prime
+    calls = []
+    monkeypatch.setattr(interp, "random_prime", lambda *a: calls.append(1) or draw(*a))
+    for name in PINNED_FMIN:
+        with open(os.path.join(MODELS, f"{name}.ode")) as fh:
+            sys_ = parse_system(fh.read())
+        for seed in PINNED_PRIMES:
+            counts = []
+            for threads in (1, 2):
+                calls.clear()
+                eliminate(sys_, SampleConfig(seed=seed, threads=threads))
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0
 
 
 def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):
@@ -471,7 +489,7 @@ def test_sample_config_threads_at_least_one():
 
 def test_eliminate_small_primes_need_more_rounds():
     small = eliminate(QUAD43, SampleConfig(prime_bits=16, seed=3))
-    large = eliminate(QUAD43, SampleConfig(prime_bits=30, seed=3))
+    large = eliminate(QUAD43, SampleConfig(prime_bits=23, seed=3))
     assert small.f_min == large.f_min
     assert len(small.primes_used) >= len(large.primes_used)
 

@@ -9,9 +9,12 @@ from odelim.linalg import _echelon, _kernel_vector
 BLOCK = linalg._BLOCK
 SINGLE = linalg._SINGLE_PANEL
 P16 = 65521
+P23 = 8388593  # the largest prime below 2^23 = 2^MAX_PRIME_BITS
+PRIMES = [P16, P23]
+# primes above the bound: every check at them asserts that _echelon refuses
 P25 = 33554393
-P30 = (1 << 30) - 35  # the largest prime below 2^30
-PRIMES = [P16, P25, P30]
+P30 = (1 << 30) - 35
+REFUSED = [P25, P30]
 
 
 def reference(rows, p, degrees=None):
@@ -69,8 +72,18 @@ def make_matrix(seed, rows, cols, p, dependent=(), zero_rows=0, zero_at=()):
 
 
 def check(A, p, degrees=None, kernels=6):
-    """_echelon + _kernel_vector agree with the reference on A."""
+    """_echelon + _kernel_vector agree with the reference on A.
+
+    For a prime above the bound, _echelon must refuse A and leave it
+    untouched; the reference's (pivots, free, processed) stand in for its
+    result, so the callers still check the rank profile they built.
+    """
     W = np.array(A, dtype=np.int64)
+    if p >> linalg.MAX_PRIME_BITS:
+        with pytest.raises(ValueError, match=r"prime below 2\^23"):
+            _echelon(W, p, degrees)
+        assert W.tolist() == A
+        return reference(A, p, degrees)[:3]
     got = _echelon(W, p, degrees)
     pivots, free, processed, R = reference(A, p, degrees)
     assert got == (pivots, free, processed)
@@ -94,7 +107,7 @@ def small_panels(monkeypatch):
     monkeypatch.setattr(linalg, "_CHUNK", 5)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 @pytest.mark.parametrize("cols", [7, 8, 9, 19, 40])
 def test_small_panels_full_and_deficient(small_panels, p, cols):
     for rows in (cols - 3, cols, cols + 4):
@@ -104,7 +117,7 @@ def test_small_panels_full_and_deficient(small_panels, p, cols):
     check(make_matrix(cols, cols + 2, cols, p, dependent, zero_rows=2, zero_at=(8, 16)), p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 def test_small_panels_early_stop(small_panels, p):
     cols = 40
     degrees = [0] * 5 + [1] * 11 + [2] * 10 + [3] * 14  # strata end at 5, 16, 26, 40
@@ -117,7 +130,7 @@ def test_small_panels_early_stop(small_panels, p):
     assert check(A, p, degrees)[1:] == ([10, 13], 16)
 
 
-@pytest.mark.parametrize("p", [P16, P25, P30])
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_panel_edges_blocked(monkeypatch, p, cols):
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
@@ -130,14 +143,14 @@ def test_panel_edges_early_stop_at_panel_boundary(monkeypatch):
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
     cols = 2 * BLOCK + 3
     degrees = [0] * BLOCK + [1] * (cols - BLOCK)
-    A = make_matrix(7, BLOCK + 10, cols, P25, dependent=[BLOCK - 20])
-    assert check(A, P25, degrees)[1:] == ([BLOCK - 20], BLOCK)
+    A = make_matrix(7, BLOCK + 10, cols, P23, dependent=[BLOCK - 20])
+    assert check(A, P23, degrees)[1:] == ([BLOCK - 20], BLOCK)
     degrees = [0] * (BLOCK + 9) + [1] * (cols - BLOCK - 9)
-    A = make_matrix(8, BLOCK + 10, cols, P30, dependent=[BLOCK + 4])
-    assert check(A, P30, degrees)[1:] == ([BLOCK + 4], BLOCK + 9)
+    A = make_matrix(8, BLOCK + 10, cols, P23, dependent=[BLOCK + 4])
+    assert check(A, P23, degrees)[1:] == ([BLOCK + 4], BLOCK + 9)
 
 
-@pytest.mark.parametrize("p", [P16, P30])
+@pytest.mark.parametrize("p", [P16, P23, P30])
 @pytest.mark.parametrize("cols", [SINGLE - 1, SINGLE, SINGLE + 1])
 def test_crossover(monkeypatch, p, cols):
     calls = []
@@ -145,7 +158,7 @@ def test_crossover(monkeypatch, p, cols):
     monkeypatch.setattr(linalg, "_update", lambda *a: calls.append(a[3]) or update(*a))
     dependent = [BLOCK // 2, BLOCK, cols - 1]
     check(make_matrix(cols, BLOCK + 8, cols, p, dependent, zero_rows=1), p, kernels=3)
-    assert bool(calls) == (cols > SINGLE)
+    assert bool(calls) == (cols > SINGLE and p in PRIMES)
 
 
 @pytest.fixture
@@ -157,7 +170,7 @@ def uneven(monkeypatch):
     monkeypatch.setattr(linalg, "_CHUNK", 4)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 @pytest.mark.parametrize("cols", [11, 23, 37])
 def test_uneven_splits(uneven, p, cols):
     for rows in (cols - 5, cols + 3):
@@ -167,7 +180,7 @@ def test_uneven_splits(uneven, p, cols):
     check(make_matrix(cols, cols + 1, cols, p, dependent, zero_rows=1, zero_at=(5, 11)), p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 def test_free_column_at_leaf_edges(uneven, p):
     cols = 23
     # column 0 is zero (the first column of the first leaf); 4 ends a leaf,
@@ -180,7 +193,7 @@ def test_free_column_at_leaf_edges(uneven, p):
     assert check(A, p)[1] == [0, 4, 5, 10, 11]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 def test_stratum_ends_inside_right_half(small_panels, p):
     # 8-column blocks split 4 + 4: a free column in the left half of the
     # second block, with its stratum ending inside the right half
@@ -194,7 +207,7 @@ def test_stratum_ends_inside_right_half(small_panels, p):
     assert check(A, p, degrees)[1:] == ([3], 7)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 def test_fewer_rows_than_columns(small_panels, p):
     cols = 40
     for rows in (7, 8, 20):
@@ -204,35 +217,52 @@ def test_fewer_rows_than_columns(small_panels, p):
     assert check(make_matrix(9, 9, cols, p), p, degrees)[1:] == ([9, 10, 11], 12)
 
 
-def test_p30_delayed_reduction_in_leaf(monkeypatch):
-    # at P30 a leaf reduces its raw entries every 4 rank-1 steps; entries
-    # next to p - 1 make every step add close to (p - 1)^2
+def test_p23_raw_entries_in_leaf_and_panel(monkeypatch):
+    # unreduced rank-1 steps: up to 16 in a leaf of the recursion, where
+    # entries next to p - 1 make each step add close to (p - 1)^2, and up
+    # to 511 on the last rows of the widest single panel, about 2^53 in all
+    rng = np.random.default_rng(23)
+    A = (P23 - 1 - rng.integers(0, 3, size=(SINGLE + 4, SINGLE))).tolist()
+    assert check(A, P23)[0] == list(range(SINGLE))
     monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
-    assert linalg._Elimination(np.zeros((1, 1), dtype=np.int64), P30, None).interval == 4
-    rng = np.random.default_rng(30)
     for cols in (linalg._LEAF, 3 * linalg._LEAF + 5):
-        A = (P30 - 1 - rng.integers(0, 3, size=(cols + 4, cols))).tolist()
-        check(A, P30)
+        A = (P23 - 1 - rng.integers(0, 3, size=(cols + 4, cols))).tolist()
+        check(A, P23)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + REFUSED)
 def test_float_products_exact_at_the_bound(p):
-    # inner dimension 2 * _BLOCK = 256 with terms next to their largest,
-    # (2^15 - 1)(p - 1); at P30 twice the width rounds in float64
+    # inner dimension _BLOCK = 128 with terms next to their largest,
+    # (p - 1)^2: at P23 the sum reaches 0.999996 * 2^53, while above the
+    # bound it rounds in float64 and _echelon refuses the prime
     k = linalg._BLOCK
     rng = np.random.default_rng(k)
-    A = p - 1 - rng.integers(0, 64, size=(4, k))
-    # B * 2^15 mod p lands next to p - 1 too
-    B = (p - 1 - rng.integers(0, 64, size=(k, 3))) * pow(1 << 15, p - 2, p) % p
-    got = (linalg._left(A) @ linalg._right(B, p)).astype(np.int64) % p
-    want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T] for row in A]
-    assert got.tolist() == want
+    A = p - 1 - rng.integers(0, 4, size=(4, k))
+    B = p - 1 - rng.integers(0, 4, size=(k, 3))
+    exact = [[sum(int(a) * int(b) for a, b in zip(row, col)) for col in B.T] for row in A]
+    product = A.astype(np.float64) @ B.astype(np.float64)
+    assert ([[int(x) for x in row] for row in product] == exact) == (p in PRIMES)
+    if p == P23:
+        assert max(map(max, exact)) > 0.999995 * 2**53
+    if p in PRIMES:
+        assert linalg._matmod(A, B, p).tolist() == [[x % p for x in row] for row in exact]
+    else:
+        with pytest.raises(ValueError, match=r"prime below 2\^23"):
+            _echelon(A, p)
+
+
+def test_smallest_prime_above_the_bound_is_refused():
+    p = 8388617  # the smallest prime above 2^23
+    W = np.ones((3, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"prime below 2\^23"):
+        _echelon(W, p)
+    assert (W == 1).all()
 
 
 def test_rank_deficient_600_columns():
     # too large for the Python reference: check W0 . v = 0 for every
     # kernel vector and the rank profile set by the dependent columns
-    p, cols = P25, 600
+    p, cols = P23, 600
     rng = np.random.default_rng(600)
     W0 = rng.integers(0, p, size=(cols + 8, cols))
     dependent = [1, 127, 128, 255, 256, 300, 513, 599]
@@ -255,7 +285,7 @@ def test_rank_deficient_600_columns():
 def test_early_stop_leaves_later_columns_untouched(small_panels):
     # 8-column blocks split 4 + 4 and then 2 + 2: the stop at column 2
     # ends the first leaf, so no update reaches columns 2 and on
-    p, cols = P25, 24
+    p, cols = P23, 24
     degrees = [0] * 2 + [1] * 22
     A = make_matrix(2, cols, cols, p, dependent=[1])
     W0 = np.array(A, dtype=np.int64)
@@ -266,4 +296,4 @@ def test_early_stop_leaves_later_columns_untouched(small_panels):
 
 def test_width_limit_of_delayed_reduction():
     with pytest.raises(ValueError, match="fewer than 128000 columns"):
-        _echelon(np.zeros((1, linalg._MAX_COLS), dtype=np.int64), P25)
+        _echelon(np.zeros((1, linalg._MAX_COLS), dtype=np.int64), P23)

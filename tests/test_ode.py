@@ -361,7 +361,7 @@ def test_order_nu_seed_invariant_on_regressions():
 
 
 def test_order_nu_redraws_a_prime_dividing_a_denominator(monkeypatch):
-    q = (1 << 30) - 35  # a 30-bit prime
+    q = 8388593  # the largest 23-bit prime
     sys_ = parse_system(f"x1' = 1/{q}*x2\nx2' = -x1")
     draw = ode.random_prime
     drawn = []
@@ -372,7 +372,7 @@ def test_order_nu_redraws_a_prime_dividing_a_denominator(monkeypatch):
 
     monkeypatch.setattr(ode, "random_prime", q_first)
     assert order_nu(sys_) == 2
-    assert drawn[0] == q and all(p < 1 << 30 for p in drawn)
+    assert drawn[0] == q and all(p < 1 << 23 for p in drawn)
 
 
 # --- jets -----------------------------------------------------------------
