@@ -97,7 +97,7 @@ class PrimeField:
     """Arithmetic modulo a word-sized prime, elements stored in [0, p).
 
     Also the coefficient ring of modular polynomials (``poly.GF``), next
-    to ``poly.QQ``: both offer coerce, add, sub, mul, neg, div, zero, one
+    to ``poly.QQ``: both offer coerce, add, mul, neg, div, zero, one
     and name.
     """
 
@@ -129,24 +129,14 @@ class PrimeField:
         r = a + b
         return r - self.p if r >= self.p else r
 
-    def sub(self, a: int, b: int) -> int:
-        r = a - b
-        return r + self.p if r < 0 else r
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
     def neg(self, a: int) -> int:
         return self.p - a if a else 0
 
-    def inv(self, a: int) -> int:
-        return modinv(a, self.p)
-
     def div(self, a: int, b: int) -> int:
         return a * modinv(b, self.p) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
     def reduce(self, q) -> int:
         """Map an integer or Fraction into the field.
@@ -202,8 +192,8 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
     Returns a/b with a ≡ r·b (mod m), |a| ≤ √(m/2), 0 < b ≤ √(m/2) and
     gcd(b, m) = 1 when such a pair exists (half-extended Euclid), else None.
     The symmetric bound splits the modulus evenly between numerator and
-    denominator; callers that need certainty combine this with a
-    stabilization policy across additional primes.
+    denominator.  A result is only a candidate: eliminate accepts it once
+    a membership probe at a fresh prime confirms it.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")

@@ -15,10 +15,13 @@ The pipeline, per prime p:
 
 Across primes, coefficient vectors are pinned to pivot = 1 at the shared
 leading monomial, combined by CRT and rationally reconstructed; the run
-stops when two consecutive reconstructions agree and a fresh-prime jet
-probe confirms the result.  The support is shrunk to the exact support
-observed at the first prime, so later primes solve a much smaller system
-whenever the theoretical bound is slack.
+stops at the first reconstruction that a fresh-prime jet probe confirms.
+That is enough: a candidate on the found support with coefficient 1 at
+the first pivotless column, which vanishes on the trajectories, differs
+from f_min by a relation of lower leading monomial, so it is f_min.  The
+support is shrunk to the exact support observed at the first prime, so
+later primes solve a much smaller system whenever the theoretical bound
+is slack.
 
 Self-correction: an empty kernel means the assumed differential order is
 too small (escalate), a persistently 2-dimensional first stratum means it
@@ -362,8 +365,8 @@ def eliminate(sys: OdeSystem, config: SampleConfig | None = None) -> Elimination
 
     Runs the per-prime pipeline at the detected (or overridden) order,
     shrinks the support after the first prime, accumulates coefficients by
-    CRT, and stops once the rational reconstruction is stable under a new
-    prime and survives an independent membership probe.  The result is
+    CRT, and stops at the first rational reconstruction that survives an
+    independent membership probe at a fresh prime.  The result is
     canonical: integer coefficients with content 1 and a positive leading
     coefficient.
 
@@ -489,23 +492,28 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     # CRT phase on the shrunk support.  `pending` holds a call returning
     # the solve of each drawn prime; up to `threads` solves run ahead in
     # the pool, and their results are taken in the order their primes were
-    # drawn, so the run is the same for every thread count.  Once a
-    # reconstruction exists, the next absorbed prime usually ends the run,
-    # so no further solve is started ahead of it: it would be discarded,
-    # and its prime would shift the probe's draw.  With one thread each
-    # solve runs here when its turn comes: on a 2-core machine
-    # a one-worker pool made ~10 ms solves about 25 % slower (a thread
-    # handoff per prime) and raised the peak memory of 1292-column solves
-    # from 75 to 88 MB (the worker allocates from a malloc arena of its own).
+    # drawn.  Before a consensus restart or a membership probe draws
+    # primes, the ones still in flight go back to the front of the draw
+    # order, so every thread count draws the same primes and ends with the
+    # same primes_used; the price is threads - 1 discarded solves per
+    # run.  With one thread each solve runs here when its turn comes: on
+    # a 2-core machine a one-worker pool made ~10 ms solves about 25 %
+    # slower (a thread handoff per prime) and raised the peak memory of
+    # 1292-column solves from 75 to 88 MB (the worker allocates from a
+    # malloc arena of its own).
     threads = config.threads
     pool = ThreadPoolExecutor(max_workers=threads)
     defer = partial if threads == 1 else lambda *call: pool.submit(*call).result
+    pending = []
+
+    def return_pending():
+        returned[:0] = [q for q, _ in pending]
+        pending.clear()
+
     try:
         acc, primes_used = _accumulate(entries)
-        previous = None
-        pending = []
         while len(primes_used) < config.max_primes:
-            while len(pending) < (threads if previous is None else 1):
+            while len(pending) < threads:
                 q = fresh_prime()
                 pending.append((q, defer(_solve_on_support, sys, q, support, nu, config)))
             p, solve = pending.pop(0)
@@ -515,12 +523,9 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 log.warning("prime %d: anomalous shrunk kernel, skipped", p)
                 continue
             if solved is None:
-                # the first prime's support was wrong: find two primes that agree.
-                # Primes still in flight go back to the draw order, so the
-                # restart sees the same primes at every thread count.
+                # the first prime's support was wrong: find two primes that agree
                 log.warning("prime %d: empty kernel on shrunk support, restarting", p)
-                returned[:0] = [q for q, _ in pending]
-                pending = []
+                return_pending()
                 found = _agreed_support(sys, S, config, fresh_prime, 2, _RESTART_TRIES)
                 if found is None:
                     raise ComputationError(
@@ -537,7 +542,6 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                     len(support),
                 )
                 acc, primes_used = _accumulate(entries)
-                previous = None
                 continue
             if solved == "badlead":
                 log.debug("prime %d divides the leading coefficient, skipped", p)
@@ -552,26 +556,27 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 len(primes_used),
                 "ok" if current is not None else "pending",
             )
-            if current is not None and current == previous:
-                if _probe_membership(sys, nu, support, current, config, fresh_prime):
-                    terms = {mono: q for mono, q in zip(support, current) if q}
-                    f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
-                    log.debug(
-                        "stabilized after %d primes; support size %d",
-                        len(primes_used),
-                        len(f.terms),
-                    )
-                    return "ok", EliminationResult(
-                        f_min=f,
-                        nu=nu,
-                        primes_used=tuple(primes_used),
-                        support_size=len(f.terms),
-                    )
-                log.warning("membership probe failed; continuing with more primes")
-            previous = current
+            if current is None:
+                continue
+            return_pending()
+            if _probe_membership(sys, nu, support, current, config, fresh_prime):
+                terms = {mono: q for mono, q in zip(support, current) if q}
+                f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
+                log.debug(
+                    "probe passed after %d primes; support size %d",
+                    len(primes_used),
+                    len(f.terms),
+                )
+                return "ok", EliminationResult(
+                    f_min=f,
+                    nu=nu,
+                    primes_used=tuple(primes_used),
+                    support_size=len(f.terms),
+                )
+            log.warning("membership probe failed; continuing with more primes")
         raise ComputationError(
-            f"no stable reconstruction after {config.max_primes} primes; "
-            f"increase max_primes or prime_bits"
+            f"no reconstruction passed the membership probe after {config.max_primes} "
+            f"primes; increase max_primes or prime_bits"
         )
     finally:
         # wait for the look-ahead solves still running: left behind, they

@@ -380,10 +380,11 @@ def jet(sys: OdeSystem, base, nu: int) -> list:
     """Jet (j_0, ..., j_nu) of x1 along the trajectory through ``base``.
 
     The system must already be reduced mod p.  ``base`` gives one value per
-    variable: an int (any p), or an int64 numpy array of point values
-    (p < 2^30), in which case every returned j_k is an array of the jets
-    at all those points.  The trajectory is computed as a truncated power
-    series by the coefficient recurrence — knowing x(t) mod t^k, the
+    variable: an int (any p), or an int64 numpy array of point values, in
+    which case every returned j_k is an array of the jets at all those
+    points (the pipeline's primes lie below 2^23, which assemble and
+    linalg._echelon enforce).  The trajectory is computed as a truncated
+    power series by the coefficient recurrence — knowing x(t) mod t^k, the
     relation x' = g(x) yields the t^k coefficient — and
     j_k = k! * [t^k] x1(t), which equals R(x1^(k)) evaluated at the base
     point without ever expanding R symbolically.  Every product is reduced

@@ -51,10 +51,6 @@ class RationalRing:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 

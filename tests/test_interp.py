@@ -384,8 +384,11 @@ def test_sample_config_refuses_primes_above_23_bits():
 def test_memory_guard_reads_memory_once_per_order(monkeypatch):
     reads = []
     monkeypatch.setattr(interp, "_available_memory", lambda: reads.append(1))
+    draw = interp.random_prime
+    draws = []
+    monkeypatch.setattr(interp, "random_prime", lambda *a: draws.append(1) or draw(*a))
     res = eliminate(HARMONIC, SampleConfig(nu_override=1, seed=1))
-    assert res.nu == 2 and len(res.primes_used) > 2
+    assert res.nu == 2 and len(draws) > 2
     assert len(reads) == 2  # orders 1 and 2; None means no guard
 
 
@@ -399,7 +402,7 @@ def test_available_memory_reads_meminfo():
 
 # reference runs of the shipped fast models: f_min and primes_used depend
 # only on the seed, never on the thread count or on how the code is arranged
-PINNED_PRIMES = {0: (8184829, 5577457, 7303211), 7: (4725029, 7386761, 4217779)}
+PINNED_PRIMES = {0: (8184829, 5577457), 7: (4725029, 7386761)}
 PINNED_FMIN = {
     "harmonic": "x1'' + x1",
     "squared_velocity": "4*x1^2*x1' - (x1'')^2",
@@ -423,8 +426,9 @@ def test_eliminate_pinned_runs():
 
 
 def test_threads_draw_no_prime_past_a_reconstruction(monkeypatch):
-    # once a reconstruction exists no solve runs ahead, so a run with two
-    # threads draws exactly the primes of a sequential one, probe included
+    # the prime in flight at a reconstruction goes back to the draw order
+    # and the probe takes it, so a run with two threads draws exactly the
+    # primes of a sequential one, probe included
     draw = interp.random_prime
     calls = []
     monkeypatch.setattr(interp, "random_prime", lambda *a: calls.append(1) or draw(*a))
@@ -438,6 +442,40 @@ def test_threads_draw_no_prime_past_a_reconstruction(monkeypatch):
                 eliminate(sys_, SampleConfig(seed=seed, threads=threads))
                 counts.append(len(calls))
             assert counts[0] == counts[1] > 0
+
+
+def test_probe_rejects_a_wrong_reconstruction(monkeypatch):
+    # the first reconstruction is perturbed in one coordinate: the probe
+    # must refuse it, and the run goes on to f_min at the next prime; the
+    # probe takes the prime a sequential run would draw at every thread count
+    reconstruct = interp._reconstruct
+    probe = interp._probe_membership
+    state = {}
+
+    def perturbed(acc):
+        out = reconstruct(acc)
+        if out is not None and not state["hit"]:
+            state["hit"] = True
+            out[0] += 1
+        return out
+
+    def spy(*args):
+        verdict = probe(*args)
+        state["probes"].append(verdict)
+        return verdict
+
+    monkeypatch.setattr(interp, "_reconstruct", perturbed)
+    monkeypatch.setattr(interp, "_probe_membership", spy)
+    with open(os.path.join(MODELS, "quadratic.ode")) as fh:
+        sys_ = parse_system(fh.read())
+    runs = []
+    for threads in (1, 2):
+        state.update(hit=False, probes=[])
+        res = eliminate(sys_, SampleConfig(seed=0, threads=threads))
+        assert state["probes"] == [False, True]
+        assert res.f_min.render() == PINNED_FMIN["quadratic"]
+        runs.append(res.primes_used)
+    assert runs[0] == runs[1] == (8184829, 5577457, 6504913)
 
 
 def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):
