@@ -126,8 +126,7 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
     def add(self, a: int, b: int) -> int:
-        r = a + b
-        return r - self.p if r >= self.p else r
+        return (a + b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p

@@ -3,9 +3,8 @@
 The pipeline, per prime p:
 
 1. sample integer points in [-R, R]^n (distinct, deterministic per seed);
-2. run the truncated power-series recurrence of ode.jet at all points
-   simultaneously to get the jet (x1, x1', ..., x1^(nu)) of every
-   trajectory mod p;
+2. get the jet (x1, x1', ..., x1^(nu)) of every trajectory mod p by
+   evaluating the Lie iterates L^k(x1) at all points at once (ode.jet);
 3. evaluate every admissible monomial at every jet -> evaluation matrix N;
 4. eliminate left-to-right in graded-lex column order (odelim.linalg);
    the first pivotless column is the leading monomial of the minimal
@@ -49,8 +48,8 @@ from .arith import (
     random_prime,
     rational_reconstruct,
 )
-from .errors import BadPrimeError, ComputationError, KernelAnomalyError
-from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector, _moddot
+from .errors import ComputationError, KernelAnomalyError
+from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector
 from .ode import OdeSystem, jet, order_nu
 from .poly import QQ, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
@@ -62,7 +61,6 @@ _EXTRA_ROWS = 8          # rows beyond the support in a shrunk solve
 _PROBE_POINTS = 32       # points of a membership probe
 _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
-_PROBE_TRIES = 4         # probe primes skipped due to denominator collisions
 _PRIME_MISSES = 64       # draws of used or excluded primes before a search in order
 
 
@@ -335,25 +333,16 @@ def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleCo
     return vec
 
 
-def _probe_membership(sys, nu, support, rationals, config, fresh_prime) -> bool:
-    """Check sum_i c_i s_i(jet) = 0 at fresh points over a fresh prime."""
-    for _ in range(_PROBE_TRIES):
-        p = fresh_prime()
-        field = PrimeField(p)
-        try:
-            coeffs = [field.reduce(q) for q in rationals]
-        except BadPrimeError:
-            continue  # prime divides a denominator; take another
-        sys_p = sys.reduce_mod(p)
-        rng = fork_rng(config.seed, "probe", str(p))
-        points = _draw_points(rng, _PROBE_POINTS, sys.n, config.radius)
-        N = _eval_matrix(sys_p, LatticeSet(nu, tuple(support)), points)
-        cvec = np.array(coeffs, dtype=np.int64)
-        for row in N.data:
-            if _moddot(row % p, cvec, p):
-                return False
-        return True
-    return False
+def _probe_membership(sys: OdeSystem, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
+    """Whether f vanishes at the jets of fresh points over a fresh prime.
+
+    f has integer coefficients with content 1: it has an image mod every prime.
+    """
+    p = fresh_prime()
+    rng = fork_rng(config.seed, "probe", str(p))
+    points = np.array(_draw_points(rng, _PROBE_POINTS, sys.n, config.radius), dtype=np.int64)
+    values = jet(sys.reduce_mod(p), points.T, f.space.order)
+    return not f.map_to(PrimeField(p)).evaluate(values).any()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +429,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     bound = scalar_bound(sys.d) if sys.n == 1 else bound_inequalities(sys.d, sys.D, nu)
     S = enumerate_lattice(bound)
     log.debug("order %d: support bound has %d monomials", nu, len(S.points))
-    _check_memory(nu, len(S.points))
+    _check_memory(nu, len(S.points), config.threads)
 
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
@@ -559,9 +548,9 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             if current is None:
                 continue
             return_pending()
-            if _probe_membership(sys, nu, support, current, config, fresh_prime):
-                terms = {mono: q for mono, q in zip(support, current) if q}
-                f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
+            terms = {mono: q for mono, q in zip(support, current) if q}
+            f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
+            if _probe_membership(sys, f, config, fresh_prime):
                 log.debug(
                     "probe passed after %d primes; support size %d",
                     len(primes_used),
@@ -597,28 +586,29 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(nu: int, size: int) -> None:
-    """Fail fast when the first phase cannot fit in the available memory.
+def _check_memory(nu: int, size: int, threads: int) -> None:
+    """Fail fast when a run at this order cannot fit in the available memory.
 
     A full-bound solve eliminates its size x size int64 evaluation matrix
-    in place.  The estimate is twice that matrix, 2 * size^2 entries of
-    8 bytes: the matrix itself plus headroom for the float64 operands of
-    the echelon's updates (at most 128 columns wide: the residues are
-    converted as they are, not split in halves), its copies of 16-column
-    leaves, and the point and power tables of assembly.  When that
-    exceeds MemAvailable the run raises ComputationError before drawing
-    a single point; when the available memory cannot be read there is no
-    guard.
+    in place, and the CRT phase holds up to ``threads`` such matrices at
+    once.  The estimate is max(2, threads) * size^2 entries of 8 bytes;
+    at one or two threads the second matrix is headroom for the echelon's
+    float64 update operands (at most 128 columns wide), its copies of
+    16-column leaves, and the point and power tables of assembly.  When
+    that exceeds MemAvailable the run raises ComputationError before
+    drawing a single point; when the available memory cannot be read
+    there is no guard.
     """
     available = _available_memory()
     if available is None:
         return
-    need = 2 * size * size * 8
+    matrices = max(2, threads)
+    need = matrices * size * size * 8
     if need > available:
         raise ComputationError(
-            f"the order-{nu} support bound has {size} monomials; its first phase "
-            f"needs about {need / 1e9:.1f} GB ({need} bytes) for a {size}x{size} "
-            f"int64 matrix and its elimination, but only {available / 1e9:.1f} GB "
+            f"the order-{nu} support bound has {size} monomials; the run needs "
+            f"about {need / 1e9:.1f} GB ({need} bytes) for {matrices} {size}x{size} "
+            f"int64 matrices, but only {available / 1e9:.1f} GB "
             f"({available} bytes) is available"
         )
 

@@ -8,11 +8,10 @@ The three operators around which everything else is built:
 * the reduction map       R(x1^(k)) = L^k(x1),
 
 together with Monte-Carlo detection of the minimal differential order and
-truncated power-series ("jet") evaluation of trajectories over a prime
-field, at one point or at a batch of points at once.  R is the bridge
-between differential polynomials in x1 and plain polynomials on phase
-space: F vanishes along every trajectory of the system exactly when
-R(F) = 0.
+the jets of x1 over a prime field, j_k = L^k(x1) at one point or at a
+batch of points at once.  R is the bridge between differential
+polynomials in x1 and plain polynomials on phase space: F vanishes along
+every trajectory of the system exactly when R(F) = 0.
 """
 
 from __future__ import annotations
@@ -377,18 +376,12 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
 
 
 def jet(sys: OdeSystem, base, nu: int) -> list:
-    """Jet (j_0, ..., j_nu) of x1 along the trajectory through ``base``.
+    """Jet (j_0, ..., j_nu) of x1 at ``base``: j_k = R(x1^(k)) = L^k(x1) there.
 
     The system must already be reduced mod p.  ``base`` gives one value per
     variable: an int (any p), or an int64 numpy array of point values, in
-    which case every returned j_k is an array of the jets at all those
-    points (the pipeline's primes lie below 2^23, which assemble and
-    linalg._echelon enforce).  The trajectory is computed as a truncated
-    power series by the coefficient recurrence — knowing x(t) mod t^k, the
-    relation x' = g(x) yields the t^k coefficient — and
-    j_k = k! * [t^k] x1(t), which equals R(x1^(k)) evaluated at the base
-    point without ever expanding R symbolically.  Every product is reduced
-    mod p, so int64 arrays stay exact at any order.
+    which case every j_k is an array of the jets at all those points; arrays
+    need p < 2^MAX_PRIME_BITS, so that products of residues stay exact.
     """
     if not isinstance(sys.ring, PrimeField):
         raise ValueError("jets are computed modulo a prime; reduce the system first")
@@ -397,39 +390,9 @@ def jet(sys: OdeSystem, base, nu: int) -> list:
         raise BadPrimeError(f"prime {p} must exceed the jet order {nu}")
     if nu < 0:
         raise ValueError("jet order must be nonnegative")
-    series = [[b % p] for b in base]
-    if len(series) != sys.n:
-        raise ValueError(f"base point has {len(series)} coordinates, expected {sys.n}")
-    zero = series[0][0] * 0  # 0, or zeros shaped like the base arrays
-    maxe = [max(col) for col in zip(*(q.max_exponents() for q in sys.g))]
-    for k in range(nu):
-        # powers[v][e] = x_v(t)^e mod t^(k+1)
-        unit = [zero + 1] + [zero] * k
-        powers = []
-        for s, e in zip(series, maxe):
-            table = [unit]
-            for _ in range(e):
-                table.append(_truncated_product(table[-1], s, p))
-            powers.append(table)
-        inv = pow(k + 1, p - 2, p)
-        for i, q in enumerate(sys.g):
-            acc = zero
-            for exps, c in q.terms.items():
-                factors = [powers[v][e] for v, e in enumerate(exps) if e]
-                term = factors[0] if factors else unit
-                for f in factors[1:]:
-                    term = _truncated_product(term, f, p)
-                acc = (acc + c * term[k]) % p
-            series[i].append(acc * inv % p)
-    out = []
-    fact = 1
-    for k, coeff in enumerate(series[0]):
-        if k:
-            fact = fact * k % p
-        out.append(coeff * fact % p)
-    return out
-
-
-def _truncated_product(a, b, p: int) -> list:
-    """Product of two power series mod t^len(a), coefficients reduced mod p."""
-    return [sum(a[i] * b[l - i] % p for i in range(l + 1)) % p for l in range(len(a))]
+    if len(base) != sys.n:
+        raise ValueError(f"base point has {len(base)} coordinates, expected {sys.n}")
+    zero = base[0] * 0  # 0, or zeros shaped like the base arrays
+    if isinstance(zero, np.ndarray) and p >> MAX_PRIME_BITS:
+        raise ValueError(f"jets of numpy point arrays need a prime below 2^{MAX_PRIME_BITS}")
+    return [h.evaluate(base) + zero for h in lie_iterates(sys, nu + 1)]

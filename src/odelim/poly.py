@@ -417,7 +417,9 @@ class SparsePoly:
 
         Builds a per-variable power table sized by the largest exponent, so
         evaluating a polynomial with many terms costs one multiplication per
-        (term, variable) rather than repeated exponentiations.
+        (term, variable) rather than repeated exponentiations.  Over GF(p) the
+        coordinates may be int64 arrays holding a batch of points, and the
+        value is then an array, exact while p^2 fits in int64.
         """
         if len(point) != self.space.nvars:
             raise ValueError(
@@ -430,7 +432,7 @@ class SparsePoly:
         tables = []
         for x, m in zip(point, maxe):
             x = ring.coerce(x)
-            row = [ring.one]
+            row = [x * 0 + ring.one]
             for _ in range(m):
                 row.append(ring.mul(row[-1], x))
             tables.append(row)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .arith import fork_rng, random_prime
+from .arith import fork_rng, is_prime, random_prime
 from .errors import BadPrimeError, VerificationError
 from .interp import EliminationResult, SampleConfig, Verification, eliminate
 from .ode import OdeSystem, jet, lie_iterates, reduction
@@ -46,7 +46,7 @@ def check_probabilistic(
     divides a denominator of F or of the system is skipped; the record
     counts only the executed trials and carries their summed union bound
     explicitly, which is 1 for a nonzero F when no trial ran.  The primes
-    may exceed 2^30: the jets are Python ints.
+    may exceed 2^30 (the jets are Python ints) and must exceed the order.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
@@ -55,6 +55,9 @@ def check_probabilistic(
         raise ValueError(f"order {nu} exceeds the dimension {sys.n}")
     if F.is_zero:
         return Verification("probabilistic", 0, Fraction(0), True)
+    lo = max(nu + 1, 1 << (prime_bits - 1))
+    if not any(is_prime(q) for q in range(lo, 1 << prime_bits)):
+        raise ValueError(f"no {prime_bits}-bit prime exceeds the order {nu}")
     degree_cap = max(F.total_degree(), 0) * _degree_growth(sys, nu)
     rng = fork_rng(seed, "verify")
     bound = Fraction(0)

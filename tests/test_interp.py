@@ -374,6 +374,17 @@ def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
     assert eliminate(HARMONIC).f_min == parse_derivative_poly("x1'' + x1")
 
 
+def test_memory_guard_counts_one_matrix_per_thread(monkeypatch):
+    # 4 monomials: 128 bytes per 4x4 int64 matrix, at least two of them
+    monkeypatch.setattr(interp, "_available_memory", lambda: 256)
+    for threads in (1, 2):
+        interp._check_memory(2, 4, threads)
+    with pytest.raises(ComputationError, match=r"\(384 bytes\) for 3 4x4"):
+        interp._check_memory(2, 4, 3)
+    monkeypatch.setattr(interp, "_available_memory", lambda: 384)
+    interp._check_memory(2, 4, 3)
+
+
 def test_sample_config_refuses_primes_above_23_bits():
     # the echelon's float64 products are exact only below 2^23
     assert SampleConfig().prime_bits == SampleConfig(prime_bits=23).prime_bits == 23
@@ -476,6 +487,19 @@ def test_probe_rejects_a_wrong_reconstruction(monkeypatch):
         assert res.f_min.render() == PINNED_FMIN["quadratic"]
         runs.append(res.primes_used)
     assert runs[0] == runs[1] == (8184829, 5577457, 6504913)
+
+
+def test_probe_at_a_prime_dividing_a_coefficient_of_f_min():
+    # 3 and 7 divide coefficients of the integer f_min, which still has an
+    # image mod each; the probe accepts it there and refuses f_min + x1
+    with open(os.path.join(MODELS, "quadratic.ode")) as fh:
+        sys_ = parse_system(fh.read())
+    f = parse_derivative_poly(PINNED_FMIN["quadratic"])
+    wrong = f + parse_derivative_poly("x1").embed(f.space)
+    for q in (3, 7):
+        assert any(c.numerator % q == 0 for c in f.terms.values())
+        assert interp._probe_membership(sys_, f, SampleConfig(), lambda: q)
+        assert not interp._probe_membership(sys_, wrong, SampleConfig(), lambda: q)
 
 
 def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -396,6 +397,21 @@ def test_jet_requires_large_prime():
     sysp = HARMONIC.reduce_mod(2)
     with pytest.raises(BadPrimeError):
         jet(sysp, [1, 1], 2)
+
+
+def test_jet_batch_matches_scalar_jets_below_2_to_23():
+    sys_ = parse_system("x1' = x1^2 + 3*x2\nx2' = x1*x2 - 5")
+    pts = np.array([[12, -7], [-1893, 1893], [123456789, 44]], dtype=np.int64)
+    sysp = sys_.reduce_mod(8388593)  # the largest prime below 2^23
+    batch = jet(sysp, pts.T, 2)
+    for i, pt in enumerate(pts.tolist()):
+        assert [int(j[i]) for j in batch] == jet(sysp, pt, 2)
+    # a 40-bit residue squared overflows int64: the batch is refused, and
+    # the scalar jet (Python ints) stays exact
+    sysp = sys_.reduce_mod(1099511627689)
+    with pytest.raises(ValueError, match=r"2\^23"):
+        jet(sysp, pts.T, 2)
+    assert jet(sysp, [123456789, 44], 1)[1] == (123456789**2 + 3 * 44) % 1099511627689
 
 
 def test_jet_matches_symbolic_reduction():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,18 @@ def test_evaluate_matches_naive():
             Fraction(0),
         )
         assert f.evaluate(pt) == naive
+
+
+def test_evaluate_gf_batch_matches_points():
+    # over GF(p) a coordinate may be an int64 array, one value per point
+    rng = random.Random(16)
+    p = 8388593
+    field = GF(p)
+    for _ in range(50):
+        f = rand_poly(S2, rng).map_to(field)
+        batch = np.array([[rng.randint(-p, p) for _ in range(7)] for _ in range(2)], dtype=np.int64)
+        values = f.evaluate(batch) + np.zeros(7, dtype=np.int64)
+        assert [int(v) for v in values] == [f.evaluate([int(x) for x in col]) for col in batch.T]
 
 
 def test_evaluate_length_mismatch():

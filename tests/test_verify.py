@@ -105,6 +105,15 @@ def test_check_probabilistic_catches_non_members():
     assert not rep.outcome
 
 
+def test_check_probabilistic_refuses_prime_bits_without_a_prime_above_the_order():
+    # the 2-bit primes are 2 and 3, and neither exceeds the order 3
+    F = parse_derivative_poly("x1''' + x1'")
+    cube = parse_system("x1' = x2\nx2' = x3\nx3' = -x2")
+    with pytest.raises(ValueError, match="no 2-bit prime exceeds the order 3"):
+        check_probabilistic(cube, F, prime_bits=2)
+    assert check_probabilistic(cube, F, prime_bits=3).outcome
+
+
 def test_check_probabilistic_zero_polynomial():
     z = SparsePoly.zero(VarSpace.deriv(2), QQ)
     rep = check_probabilistic(HARMONIC, z, trials=4)
