@@ -19,9 +19,12 @@ from .errors import BadPrimeError
 
 MAX_PRIME_BITS = 62
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24,
-# which covers every modulus this package generates (p < 2^62).
+# Witness set making Miller-Rabin deterministic for all n < 3.1 * 10^23, which
+# covers every modulus this package generates (p < 2^62); below each bound of
+# _MR_PREFIXES its first k witnesses suffice (Jaeschke 1993; Jiang, Deng 2014).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PREFIXES = ((25_326_001, 3), (2_152_302_898_747, 5), (341_550_071_728_321, 7),
+                (3_825_123_056_546_413_051, 9))
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -33,12 +36,10 @@ def is_prime(n: int) -> bool:
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    k = next((k for bound, k in _MR_PREFIXES if n < bound), len(_MR_WITNESSES))
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -53,8 +54,7 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def _known_prime(n: int) -> bool:
-    """is_prime, remembered: a run builds a field for the same few primes
-    thousands of times (every reduce_mod, map_to and verification trial)."""
+    """is_prime, remembered: a run builds a field for each of its primes several times."""
     return is_prime(n)
 
 
@@ -144,6 +144,8 @@ class PrimeField:
         callers treat as "skip this prime".
         """
         if isinstance(q, Fraction):
+            if q.denominator == 1:
+                return q.numerator % self.p
             den = q.denominator % self.p
             if den == 0:
                 raise BadPrimeError(f"denominator {q.denominator} vanishes mod {self.p}")

@@ -4,7 +4,8 @@ The pipeline, per prime p:
 
 1. sample integer points in [-R, R]^n (distinct, deterministic per seed);
 2. get the jet (x1, x1', ..., x1^(nu)) of every trajectory mod p by
-   evaluating the Lie iterates L^k(x1) at all points at once (ode.jet);
+   evaluating the Lie iterates L^k(x1), built over Q once per order and
+   only mapped to GF(p) per prime, at all points at once (ode.jet);
 3. evaluate every admissible monomial at every jet -> evaluation matrix N;
 4. eliminate left-to-right in graded-lex column order (odelim.linalg);
    the first pivotless column is the leading monomial of the minimal
@@ -48,9 +49,9 @@ from .arith import (
     random_prime,
     rational_reconstruct,
 )
-from .errors import ComputationError, KernelAnomalyError
+from .errors import BadPrimeError, ComputationError, KernelAnomalyError
 from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector
-from .ode import OdeSystem, jet, order_nu
+from .ode import OdeSystem, jet, lie_iterates, order_nu
 from .poly import QQ, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
 
@@ -179,11 +180,11 @@ def _draw_points(rng, count: int, n: int, radius: int):
 # matrix assembly
 
 
-def _eval_matrix(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
-    p = sys_p.ring.p
+def _eval_matrix(iterates_p: list, S: LatticeSet, points) -> EvalMatrix:
+    p = iterates_p[0].ring.p
     pts = np.array(points, dtype=np.int64)
     m = pts.shape[0]
-    jets = jet(sys_p, pts.T, S.nu)
+    jets = jet(iterates_p, pts.T)
     maxe = [0] * (S.nu + 1)
     for e in S.points:
         for k, ek in enumerate(e):
@@ -215,7 +216,7 @@ def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
         )
-    N = _eval_matrix(sys_p, S, points)
+    N = _eval_matrix(lie_iterates(sys_p, S.nu + 1), S, points)
     N.data.flags.writeable = False
     return N
 
@@ -279,7 +280,7 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
 
 
 def _sampled_kernel(
-    sys: OdeSystem, p: int, S: LatticeSet, rows: int, config: SampleConfig, label: str
+    iterates: list, p: int, S: LatticeSet, rows: int, config: SampleConfig, label: str
 ):
     """minimal_element of an evaluation matrix on ``rows`` fresh points mod p.
 
@@ -287,19 +288,19 @@ def _sampled_kernel(
     kernel redraws them; a persistent anomaly propagates as
     KernelAnomalyError.
     """
-    sys_p = sys.reduce_mod(p)
+    iterates_p = [h.map_to(PrimeField(p)) for h in iterates]
     for attempt in range(_POINT_RETRIES):
         rng = fork_rng(config.seed, label, str(p), str(attempt))
-        points = _draw_points(rng, rows, sys.n, config.radius)
+        points = _draw_points(rng, rows, iterates[0].space.nvars, config.radius)
         try:
-            return minimal_element(_eval_matrix(sys_p, S, points), S)
+            return minimal_element(_eval_matrix(iterates_p, S, points), S)
         except KernelAnomalyError as exc:
             anomaly = exc
             log.debug("%s solve, prime %d attempt %d: %s", label, p, attempt, exc)
     raise anomaly
 
 
-def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig):
+def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig, iterates=None):
     """Full single-prime solve on the support-bound lattice S.
 
     Returns (support, coefficients) — the nonzero monomials of the minimal
@@ -307,17 +308,24 @@ def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig)
     empty (the assumed order is too small).  Retries with fresh points
     when the degree filtration reports an anomalous kernel; a persistent
     anomaly propagates as KernelAnomalyError; a prime not above the order,
-    or one dividing a denominator of the system, raises BadPrimeError (the
-    driver never draws such a prime).
+    or one dividing a denominator of the system, raises BadPrimeError
+    (eliminate never draws such a prime).  ``iterates``, if given, must be
+    lie_iterates(sys, S.nu + 1); without it the solve builds them.
     """
-    vec = _sampled_kernel(sys, p, S, len(S.points), config, "points")
+    if iterates is None:
+        iterates = lie_iterates(sys, S.nu + 1)
+    elif len(iterates) != S.nu + 1 or iterates[0].space != sys.space:
+        raise ValueError(f"iterates must be lie_iterates(sys, {S.nu + 1})")
+    if sys.denominator() % p == 0:
+        raise BadPrimeError(f"prime {p} divides a denominator of the system")
+    vec = _sampled_kernel(iterates, p, S, len(S.points), config, "points")
     if vec is None:
         return None
     support = tuple(mono for mono, value in zip(S.points, vec) if value)
     return support, tuple(value for value in vec if value)
 
 
-def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleConfig):
+def _solve_on_support(iterates: list, p: int, support, nu: int, config: SampleConfig):
     """Shrunk solve: only the known support monomials, a few extra rows.
 
     Returns the coefficient vector (pivot-normalized at the last support
@@ -325,7 +333,7 @@ def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleCo
     string "badlead" when this prime divides the leading coefficient.
     """
     rows = len(support) + _EXTRA_ROWS
-    vec = _sampled_kernel(sys, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
+    vec = _sampled_kernel(iterates, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
     if vec is not None and vec[-1] == 0:
         # the relation exists mod p but its leading coefficient vanished:
         # p divides the true leading coefficient; skip this prime
@@ -333,15 +341,16 @@ def _solve_on_support(sys: OdeSystem, p: int, support, nu: int, config: SampleCo
     return vec
 
 
-def _probe_membership(sys: OdeSystem, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
+def _probe_membership(iterates: list, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
     """Whether f vanishes at the jets of fresh points over a fresh prime.
 
     f has integer coefficients with content 1: it has an image mod every prime.
     """
     p = fresh_prime()
     rng = fork_rng(config.seed, "probe", str(p))
-    points = np.array(_draw_points(rng, _PROBE_POINTS, sys.n, config.radius), dtype=np.int64)
-    values = jet(sys.reduce_mod(p), points.T, f.space.order)
+    n = iterates[0].space.nvars
+    points = np.array(_draw_points(rng, _PROBE_POINTS, n, config.radius), dtype=np.int64)
+    values = jet([h.map_to(PrimeField(p)) for h in iterates], points.T)
     return not f.map_to(PrimeField(p)).evaluate(values).any()
 
 
@@ -430,6 +439,8 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     S = enumerate_lattice(bound)
     log.debug("order %d: support bound has %d monomials", nu, len(S.points))
     _check_memory(nu, len(S.points), config.threads)
+    iterates = lie_iterates(sys, nu + 1)  # every solve and the probe map these to GF(p)
+    full_solve = partial(eliminate_mod_p, sys, S=S, config=config, iterates=iterates)
 
     used_primes = set()
     prime_rng = fork_rng(config.seed, "primes", str(nu))
@@ -464,7 +475,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
         return p
 
     # first phase: the full bound at one prime reveals the support
-    found = _agreed_support(sys, S, config, fresh_prime, 1, _ANOMALY_PRIMES)
+    found = _agreed_support(full_solve, fresh_prime, 1, _ANOMALY_PRIMES)
     if found is None:
         return "anomaly", None
     if found == "empty":
@@ -504,7 +515,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
         while len(primes_used) < config.max_primes:
             while len(pending) < threads:
                 q = fresh_prime()
-                pending.append((q, defer(_solve_on_support, sys, q, support, nu, config)))
+                pending.append((q, defer(_solve_on_support, iterates, q, support, nu, config)))
             p, solve = pending.pop(0)
             try:
                 solved = solve()
@@ -515,7 +526,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                 # the first prime's support was wrong: find two primes that agree
                 log.warning("prime %d: empty kernel on shrunk support, restarting", p)
                 return_pending()
-                found = _agreed_support(sys, S, config, fresh_prime, 2, _RESTART_TRIES)
+                found = _agreed_support(full_solve, fresh_prime, 2, _RESTART_TRIES)
                 if found is None:
                     raise ComputationError(
                         "no two primes agree on the support; the sampling radius or "
@@ -550,7 +561,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             return_pending()
             terms = {mono: q for mono, q in zip(support, current) if q}
             f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
-            if _probe_membership(sys, f, config, fresh_prime):
+            if _probe_membership(iterates, f, config, fresh_prime):
                 log.debug(
                     "probe passed after %d primes; support size %d",
                     len(primes_used),
@@ -613,10 +624,8 @@ def _check_memory(nu: int, size: int, threads: int) -> None:
         )
 
 
-def _agreed_support(
-    sys: OdeSystem, S: LatticeSet, config: SampleConfig, fresh_prime, need: int, tries: int
-):
-    """Full-bound solves at fresh primes until ``need`` agree on the support.
+def _agreed_support(full_solve, fresh_prime, need: int, tries: int):
+    """Full-bound solves full_solve(p) at fresh primes until ``need`` agree on the support.
 
     Returns (support, [(p, coefficients), ...]) with the agreeing primes
     in draw order, "empty" for an empty kernel (the order is too small),
@@ -627,7 +636,7 @@ def _agreed_support(
     for _ in range(tries):
         p = fresh_prime()
         try:
-            res = eliminate_mod_p(sys, p, S, config)
+            res = full_solve(p)
         except KernelAnomalyError:
             continue
         if res is None:

@@ -375,24 +375,24 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
 # jets
 
 
-def jet(sys: OdeSystem, base, nu: int) -> list:
+def jet(iterates: list, base) -> list:
     """Jet (j_0, ..., j_nu) of x1 at ``base``: j_k = R(x1^(k)) = L^k(x1) there.
 
-    The system must already be reduced mod p.  ``base`` gives one value per
-    variable: an int (any p), or an int64 numpy array of point values, in
-    which case every j_k is an array of the jets at all those points; arrays
-    need p < 2^MAX_PRIME_BITS, so that products of residues stay exact.
+    jet only evaluates ``iterates``, the Lie iterates x1, ..., L^nu(x1) mod p:
+    a run builds lie_iterates(sys, nu + 1) over Q once and maps them with
+    ``map_to(GF(p))`` for each prime.  ``base`` gives one value per variable:
+    an int (any p), or an int64 numpy array of point values, in which case
+    every j_k is an array of the jets at all those points; arrays need
+    p < 2^MAX_PRIME_BITS, so that products of residues stay exact.
     """
-    if not isinstance(sys.ring, PrimeField):
-        raise ValueError("jets are computed modulo a prime; reduce the system first")
-    p = sys.ring.p
+    if not iterates or not isinstance(iterates[0].ring, PrimeField):
+        raise ValueError("jets need the iterates x1, ..., L^nu(x1) reduced modulo a prime")
+    p, nu, n = iterates[0].ring.p, len(iterates) - 1, iterates[0].space.nvars
     if p <= nu:
         raise BadPrimeError(f"prime {p} must exceed the jet order {nu}")
-    if nu < 0:
-        raise ValueError("jet order must be nonnegative")
-    if len(base) != sys.n:
-        raise ValueError(f"base point has {len(base)} coordinates, expected {sys.n}")
+    if len(base) != n:
+        raise ValueError(f"base point has {len(base)} coordinates, expected {n}")
     zero = base[0] * 0  # 0, or zeros shaped like the base arrays
     if isinstance(zero, np.ndarray) and p >> MAX_PRIME_BITS:
         raise ValueError(f"jets of numpy point arrays need a prime below 2^{MAX_PRIME_BITS}")
-    return [h.evaluate(base) + zero for h in lie_iterates(sys, nu + 1)]
+    return [h.evaluate(base) + zero for h in iterates]

@@ -13,21 +13,17 @@ passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 from .arith import fork_rng, is_prime, random_prime
-from .errors import BadPrimeError, VerificationError
+from .errors import VerificationError
 from .interp import EliminationResult, SampleConfig, Verification, eliminate
 from .ode import OdeSystem, jet, lie_iterates, reduction
 from .poly import GF, SparsePoly
 
 CHECK_TERM_BUDGET = 500_000
-
-
-def _degree_growth(sys: OdeSystem, nu: int) -> int:
-    """Max total degree of L^k(x1) for k <= nu (degree of one substitution)."""
-    return max(max(h.total_degree(), 0) for h in lie_iterates(sys, nu + 1))
 
 
 def check_probabilistic(
@@ -47,6 +43,8 @@ def check_probabilistic(
     counts only the executed trials and carries their summed union bound
     explicitly, which is 1 for a nonzero F when no trial ran.  The primes
     may exceed 2^30 (the jets are Python ints) and must exceed the order.
+    The Lie iterates are built over Q once per call; a trial only maps
+    them to GF(p) and evaluates them.
     """
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
@@ -58,7 +56,10 @@ def check_probabilistic(
     lo = max(nu + 1, 1 << (prime_bits - 1))
     if not any(is_prime(q) for q in range(lo, 1 << prime_bits)):
         raise ValueError(f"no {prime_bits}-bit prime exceeds the order {nu}")
-    degree_cap = max(F.total_degree(), 0) * _degree_growth(sys, nu)
+    iterates = lie_iterates(sys, nu + 1)
+    denominator = math.lcm(sys.denominator(), *(c.denominator for c in F.terms.values()))
+    # the degree of one substitution x1^(k) -> L^k(x1), k <= nu
+    degree_cap = max(F.total_degree(), 0) * max(max(h.total_degree(), 0) for h in iterates)
     rng = fork_rng(seed, "verify")
     bound = Fraction(0)
     executed = 0
@@ -68,13 +69,11 @@ def check_probabilistic(
             p = random_prime(prime_bits, rng)
             if p > nu:
                 break
-        try:
-            Fp = F.map_to(GF(p))
-            sys_p = sys.reduce_mod(p)
-        except BadPrimeError:
+        if denominator % p == 0:
             continue  # denominator collision: the trial is not executed
+        Fp = F.map_to(GF(p))
         point = [rng.randrange(p) for _ in range(sys.n)]
-        values = jet(sys_p, point, nu)
+        values = jet([h.map_to(GF(p)) for h in iterates], point)
         executed += 1
         bound += Fraction(degree_cap, p)
         if Fp.evaluate(values) != 0:

@@ -31,6 +31,32 @@ def test_is_prime_small():
     assert is_prime((1 << 61) - 1)
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_refuses_each_witness_prefix_bound():
+    # each bound is a strong pseudoprime to the whole prefix that decides
+    # the numbers below it, so only the longer prefix used there refuses it
+    for bound, k in arith._MR_PREFIXES:
+        assert all(_strong_probable_prime(bound, a) for a in arith._MR_WITNESSES[:k])
+        assert not is_prime(bound)
+
+
+def test_is_prime_prefixes_agree_with_all_twelve_witnesses(monkeypatch):
+    rng = random.Random(5)
+    numbers = [rng.getrandbits(rng.randint(16, 62)) | 1 | 1 << 15 for _ in range(4000)]
+    numbers += [bound + 2 * i for bound, _ in arith._MR_PREFIXES for i in range(-20, 21)]
+    prefixed = [is_prime(n) for n in numbers]
+    monkeypatch.setattr(arith, "_MR_PREFIXES", ())
+    assert prefixed == [is_prime(n) for n in numbers]
+    assert 100 < sum(prefixed) < len(numbers) - 100
+
+
 def test_random_prime_three_bits():
     rng = random.Random(1)
     seen = {random_prime(3, rng) for _ in range(50)}
@@ -66,6 +92,16 @@ def test_prime_field_reduce_and_errors():
     assert F.reduce(Fraction(-2, 5)) == (-2 * modinv(5, 101)) % 101
     with pytest.raises(BadPrimeError):
         F.reduce(Fraction(1, 101))
+
+
+def test_prime_field_reduces_an_integral_fraction_without_an_inverse(monkeypatch):
+    F = PrimeField(101)
+    monkeypatch.setattr(arith, "modinv", lambda *args: pytest.fail("modinv called"))
+    assert F.reduce(Fraction(205)) == 3
+    assert F.reduce(Fraction(-205)) == 98
+    assert F.reduce(Fraction(0)) == 0
+    with pytest.raises(BadPrimeError):
+        F.reduce(Fraction(3, 202))
 
 
 def test_prime_field_checks_each_modulus_once(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from _gen import sparse_system
 from odelim import interp, linalg
 from odelim.arith import is_prime
-from odelim.errors import ComputationError
+from odelim.errors import BadPrimeError, ComputationError
 from odelim.interp import (
     SampleConfig,
     assemble,
@@ -22,7 +22,7 @@ from odelim.interp import (
     nullspace,
     sample_points,
 )
-from odelim.ode import parse_system, reduction
+from odelim.ode import lie_iterates, parse_system, reduction
 from odelim.poly import GF, QQ, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice
 
@@ -179,7 +179,7 @@ def test_minimal_element_leaves_assembled_matrix_unchanged():
     assert minimal_element(N, S) is not None
     assert (N.data == before).all()
     # the pipeline's own matrix is writable and eliminated in place
-    own = interp._eval_matrix(SQUARED.reduce_mod(P), S, pts)
+    own = interp._eval_matrix(lie_iterates(SQUARED.reduce_mod(P), S.nu + 1), S, pts)
     assert (own.data == before).all() and own.data.flags.writeable
     assert minimal_element(own, S) == minimal_element(N, S)
     assert (own.data != before).any()
@@ -200,6 +200,19 @@ def test_solve_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * nbytes
+
+
+def test_eliminate_mod_p_refuses_foreign_iterates_and_denominator_primes():
+    S = enumerate_lattice(bound_inequalities(1, 1, 2))
+    config = SampleConfig(seed=3)
+    with pytest.raises(ValueError, match="lie_iterates"):
+        eliminate_mod_p(HARMONIC, P, S, config, iterates=lie_iterates(HARMONIC, S.nu))
+    with pytest.raises(ValueError, match="lie_iterates"):
+        eliminate_mod_p(HARMONIC, P, S, config, iterates=lie_iterates(parse_system("x1' = x1"), S.nu + 1))
+    # 7 divides a denominator of the system that no iterate of x1 meets
+    sys_ = parse_system("x1' = x2\nx2' = -x1 + 1/7*x2^2")
+    with pytest.raises(BadPrimeError):
+        eliminate_mod_p(sys_, 7, LatticeSet(1, ((0, 0), (1, 0))), config)
 
 
 def test_kernel_vectors_are_multiples_of_minimal():
@@ -496,10 +509,11 @@ def test_probe_at_a_prime_dividing_a_coefficient_of_f_min():
         sys_ = parse_system(fh.read())
     f = parse_derivative_poly(PINNED_FMIN["quadratic"])
     wrong = f + parse_derivative_poly("x1").embed(f.space)
+    iterates = lie_iterates(sys_, f.space.order + 1)
     for q in (3, 7):
         assert any(c.numerator % q == 0 for c in f.terms.values())
-        assert interp._probe_membership(sys_, f, SampleConfig(), lambda: q)
-        assert not interp._probe_membership(sys_, wrong, SampleConfig(), lambda: q)
+        assert interp._probe_membership(iterates, f, SampleConfig(), lambda: q)
+        assert not interp._probe_membership(iterates, wrong, SampleConfig(), lambda: q)
 
 
 def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):

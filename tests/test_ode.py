@@ -379,39 +379,52 @@ def test_order_nu_redraws_a_prime_dividing_a_denominator(monkeypatch):
 # --- jets -----------------------------------------------------------------
 
 
+def test_iterates_over_q_map_to_the_iterates_of_the_reduced_system():
+    # a run builds the iterates once over Q and maps them to each prime
+    rng = random.Random(28)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        sys_ = sparse_system(n, rng.randint(1, 3), rng.randint(1, 3) if n > 1 else 1, rng)
+        sys_ = OdeSystem([g.scale(Fraction(rng.randint(1, 9), rng.randint(1, 12))) for g in sys_.g])
+        iterates = lie_iterates(sys_, rng.randint(1, 4))
+        for p in (10007, 8388593):
+            field = GF(p)
+            assert [h.map_to(field) for h in iterates] == lie_iterates(sys_.reduce_mod(p), len(iterates))
+
+
 def test_jet_scalar_square():
     p = 1000003
     sysp = parse_system("x1' = x1^2").reduce_mod(p)
     c = 12345
-    assert jet(sysp, [c], 2) == [c, c * c % p, 2 * c ** 3 % p]
+    assert jet(lie_iterates(sysp, 3), [c]) == [c, c * c % p, 2 * c ** 3 % p]
 
 
 def test_jet_harmonic():
     p = 97
     sysp = HARMONIC.reduce_mod(p)
     a, b = 5, 11
-    assert jet(sysp, [a, b], 2) == [a, b, (-a) % p]
+    assert jet(lie_iterates(sysp, 3), [a, b]) == [a, b, (-a) % p]
 
 
 def test_jet_requires_large_prime():
     sysp = HARMONIC.reduce_mod(2)
     with pytest.raises(BadPrimeError):
-        jet(sysp, [1, 1], 2)
+        jet(lie_iterates(sysp, 3), [1, 1])
 
 
 def test_jet_batch_matches_scalar_jets_below_2_to_23():
     sys_ = parse_system("x1' = x1^2 + 3*x2\nx2' = x1*x2 - 5")
     pts = np.array([[12, -7], [-1893, 1893], [123456789, 44]], dtype=np.int64)
-    sysp = sys_.reduce_mod(8388593)  # the largest prime below 2^23
-    batch = jet(sysp, pts.T, 2)
+    iterates = lie_iterates(sys_.reduce_mod(8388593), 3)  # the largest prime below 2^23
+    batch = jet(iterates, pts.T)
     for i, pt in enumerate(pts.tolist()):
-        assert [int(j[i]) for j in batch] == jet(sysp, pt, 2)
+        assert [int(j[i]) for j in batch] == jet(iterates, pt)
     # a 40-bit residue squared overflows int64: the batch is refused, and
     # the scalar jet (Python ints) stays exact
-    sysp = sys_.reduce_mod(1099511627689)
+    iterates = lie_iterates(sys_.reduce_mod(1099511627689), 3)
     with pytest.raises(ValueError, match=r"2\^23"):
-        jet(sysp, pts.T, 2)
-    assert jet(sysp, [123456789, 44], 1)[1] == (123456789**2 + 3 * 44) % 1099511627689
+        jet(iterates, pts.T)
+    assert jet(iterates[:2], [123456789, 44])[1] == (123456789**2 + 3 * 44) % 1099511627689
 
 
 def test_jet_matches_symbolic_reduction():
@@ -421,10 +434,9 @@ def test_jet_matches_symbolic_reduction():
     for _ in range(20):
         n = rng.randint(1, 3)
         sys_ = sparse_system(n, rng.randint(1, 3), rng.randint(1, 3) if n > 1 else 1, rng)
-        sysp = sys_.reduce_mod(p)
         base = [rng.randrange(p) for _ in range(n)]
         nu = min(n, 3)
-        values = jet(sysp, base, nu)
+        values = jet([h.map_to(field) for h in lie_iterates(sys_, nu + 1)], base)
         for k in range(nu + 1):
             mono = SparsePoly.monomial(
                 VarSpace.deriv(nu), [0] * k + [1] + [0] * (nu - k), QQ.one
@@ -447,6 +459,6 @@ def test_jet_oracle_on_random_monomials():
         exps = tuple(rng.randrange(3) for _ in range(nu + 1))
         mono = SparsePoly.monomial(space, exps, QQ.one)
         base = [rng.randrange(p) for _ in range(n)]
-        lhs = mono.map_to(field).evaluate(jet(sys_.reduce_mod(p), base, nu))
+        lhs = mono.map_to(field).evaluate(jet(lie_iterates(sys_.reduce_mod(p), nu + 1), base))
         rhs = reduction(sys_, mono).map_to(field).evaluate(base)
         assert lhs == rhs

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odelim.verify as verify_mod
+from odelim import ode
 from odelim.arith import fork_rng, is_prime, random_prime
-from _gen import sparse_system
+from _gen import dense_system, sparse_system
 from odelim.errors import BudgetExceededError, VerificationError
 from odelim.interp import SampleConfig, Verification, eliminate, eliminate_mod_p
 from odelim.ode import OdeSystem, parse_system
@@ -46,6 +47,38 @@ def test_check_probabilistic_skips_primes_dividing_a_denominator():
     reports = [check_probabilistic(sys_, F, prime_bits=16, seed=seed) for seed in range(10)]
     assert all(rep.outcome for rep in reports)
     assert any(rep.trials < 16 for rep in reports)
+
+
+def test_check_probabilistic_skips_a_prime_dividing_a_denominator_no_iterate_has():
+    # L(x1) = x1 never meets D, yet a trial at a prime dividing D stays
+    # skipped, as it was when each trial reduced the whole system mod p
+    D = math.prod([q for q in range(65535, 60000, -2) if is_prime(q)][:60])
+    sys_ = parse_system(f"x1' = x1\nx2' = 1/{D}*x2")
+    F = parse_derivative_poly("x1' - x1")
+    trials = [check_probabilistic(sys_, F, prime_bits=16, seed=seed).trials for seed in range(6)]
+    assert trials == [16, 15, 16, 16, 16, 16]
+
+
+def test_lie_iterates_built_once_per_run_whatever_the_primes_and_trials(monkeypatch):
+    calls = []
+    derive = ode.lie_derivative
+    monkeypatch.setattr(ode, "lie_derivative", lambda *args: calls.append(1) or derive(*args))
+    # order_nu takes n - 1 derivatives, the run's iterates nu more
+    many = dense_system(3, 2, 1, random.Random(101))
+    runs = []
+    for sys_, threads in ((many, 2), (HARMONIC, 1)):
+        calls.clear()
+        res = eliminate(sys_, SampleConfig(seed=101, threads=threads))
+        assert len(calls) == sys_.n - 1 + res.nu
+        runs.append(len(res.primes_used))
+    assert runs[0] >= 5 * runs[1]
+    F = parse_derivative_poly("x1'' + x1")
+    counts = []
+    for trials in (1, 16):
+        calls.clear()
+        assert check_probabilistic(HARMONIC, F, trials=trials).trials == trials
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def test_check_exact_accepts_the_true_relation():
