@@ -75,7 +75,11 @@ class SampleConfig:
     at most linalg.MAX_PRIME_BITS (23) so that the echelon's float64
     products stay exact;
     max_primes caps the primes that enter the CRT; nu_override skips
-    order detection; threads is the number of per-prime solves run at once.
+    order detection; threads is the number of per-prime solves run at once,
+    the one level of parallelism: while an elimination wider than 128
+    columns runs, numpy's OpenBLAS is pinned to one thread and restored
+    afterwards (see linalg), process-wide, so numpy calls on other threads
+    run on one BLAS thread meanwhile.
     """
 
     radius: int = 1893

@@ -26,29 +26,39 @@ product of inner dimension k sums k terms of at most (p - 1)^2, so it is
 exact while k (p - 1)^2 < 2^53 (the bound of FFLAS-FFPACK), which holds
 for k <= 128 when p < 2^23: hence blocks of 128 columns.  The same bound
 keeps int64 entries in range.  A rank-1 step of a leaf adds less than
-2^46 to an entry, so the at most 512 steps of a panel stay below 2^55
+2^46 to an entry, so the at most 128 steps of a panel stay below 2^54
 without an intermediate reduction.  The rows below the pivots are
 reduced only when their columns are factored.  Each update subtracts
 less than 2^53 from an entry, and an entry meets at most cols / 128 + 3
 updates before that, fewer than 2^10 for the at most 128,000 columns
 _echelon takes, so it stays inside int64.
 
-A matrix of at most 512 columns is a single rank-1 panel, on W itself.
-A solve alone gains from the recursion well below that: (n+8) x n with
-n = 271, 512 and 640 took 18, 47 and 87 ms recursive against 25, 134
-and 283 ms as one panel.  But two solves at once (``threads=2``) share
-the 2 cores with the BLAS threads: 40 solves of 279 x 271 on 2 pool
-threads took 0.78-0.95 s as single panels and 0.86-1.07 s recursive.
+A matrix of at most 128 columns, one outer block, is a single rank-1
+panel on W itself and calls no BLAS.  A wider one recurses, which a
+solve alone gains from soon past one block: (n+8) x n at p < 2^23 with
+n = 96, 128, 160, 271 and 512 took 3.7, 3.5, 5.0, 13 and 32 ms recursive
+against 2.6, 3.8, 6.6, 23 and 135 ms as one panel (medians of 9, BLAS on
+one thread, 2 cores).
+
+The recursion runs with numpy's OpenBLAS pinned to one thread
+(_OneBlasThread), restored when the last concurrent elimination ends.
+At tiles of 128 x 128 a second BLAS thread mostly spins: the 1292-column
+solves of a dense (3,2,2) system took 2.29 s of CPU for 1.15 s of wall
+with the default 2 threads, and 1.19 s of both with one (2 cores).
+Concurrent solves come from the pool of SampleConfig.threads alone.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import threading
 
 import numpy as np
 
 MAX_PRIME_BITS = 23  # every prime is below 2^MAX_PRIME_BITS
 _BLOCK = 128         # columns per outer block: products of inner dimension 128
 _LEAF = 16           # widest block factored by rank-1 updates in a recursion
-_SINGLE_PANEL = 512  # widest matrix eliminated as one rank-1 panel
 _CHUNK = 128         # rows and columns of a tile of the trailing update
 _MAX_COLS = 128_000  # widest matrix: the delayed reduction stays inside int64
 
@@ -83,19 +93,20 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
     if p >> MAX_PRIME_BITS:
         raise ValueError(f"_echelon needs a prime below 2^{MAX_PRIME_BITS} (exact float64 products)")
     run = _Elimination(W, p, degrees)
-    if W.shape[1] <= _SINGLE_PANEL:
+    if W.shape[1] <= _BLOCK:
         _unit_pivots(W, 0, run.leaf(0, W.shape[1], False)[0])
         return run.pivots, run.free, run.limit
-    c0 = 0
-    while c0 < run.limit:
-        r0 = len(run.pivots)
-        c1 = min(c0 + _BLOCK, run.limit)
-        piv, inverse = run.factor(c0, c1, c1 < run.limit)
-        c1 = min(c1, run.limit)
-        if piv and c1 < run.limit:
-            _update(W, p, r0, piv, inverse, c1, run.limit)
-        _unit_pivots(W, r0, piv)
-        c0 = c1
+    with _ONE_BLAS_THREAD:
+        c0 = 0
+        while c0 < run.limit:
+            r0 = len(run.pivots)
+            c1 = min(c0 + _BLOCK, run.limit)
+            piv, inverse = run.factor(c0, c1, c1 < run.limit)
+            c1 = min(c1, run.limit)
+            if piv and c1 < run.limit:
+                _update(W, p, r0, piv, inverse, c1, run.limit)
+            _unit_pivots(W, r0, piv)
+            c0 = c1
     return run.pivots, run.free, run.limit
 
 
@@ -164,7 +175,7 @@ class _Elimination:
         """
         W, p = self.W, self.p
         r0 = len(self.pivots)
-        copy = W.shape[1] > _SINGLE_PANEL
+        copy = W.shape[1] > _BLOCK
         if copy:
             P = np.ascontiguousarray(W[r0:, c0:c1].T)
             P %= p
@@ -268,3 +279,78 @@ def _kernel_vector(W: np.ndarray, p: int, pivots, free_col: int):
         s = _moddot(W[t, j + 1 : free_col + 1], vec[j + 1 : free_col + 1], p)
         vec[j] = (-s) % p
     return vec
+
+
+class _OneBlasThread:
+    """Context manager that runs numpy's OpenBLAS on one thread.
+
+    The first of any number of concurrent holders saves the thread count
+    and sets it to 1; the last to leave restores the saved count.  The
+    count is process-wide, so numpy calls on other threads run on one
+    BLAS thread meanwhile as well.  Without an OpenBLAS to find (another
+    BLAS, or no /proc/self/maps) it does nothing.  The library is looked
+    up on first use, not at import.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._functions = None  # (set, get) once looked up, () when not found
+        self._depth = 0
+        self._saved = 1
+
+    def functions(self):
+        """(set, get) of numpy's OpenBLAS thread count, or () without one."""
+        with self._lock:
+            if self._functions is None:
+                self._functions = _openblas_thread_functions()
+            return self._functions
+
+    def __enter__(self):
+        functions = self.functions()
+        with self._lock:
+            if functions and self._depth == 0:
+                set_threads, get_threads = functions
+                self._saved = get_threads()
+                set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._functions and self._depth == 0:
+                self._functions[0](self._saved)
+
+
+def _openblas_thread_functions():
+    """Find openblas_set_num_threads and openblas_get_num_threads in the
+    OpenBLAS mapped into this process, preferring numpy's own copy.
+
+    Wheels rename the symbols: numpy 2.4 exports
+    scipy_openblas_set_num_threads64_, so a scipy_ prefix and a 64_ or
+    _64 suffix are accepted.  Returns (set, get), or () when no mapped
+    library has both.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}
+    for path in sorted(paths, key=lambda path: ("numpy" not in path, path)):
+        try:
+            # RTLD_NOLOAD: only a library already in the process is opened
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", "_64", ""):
+                set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if set_threads is not None and get_threads is not None:
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    return set_threads, get_threads
+    return ()
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()

@@ -190,7 +190,7 @@ def test_solve_holds_one_matrix():
     # them, so the echelon runs over every column on the recursive path
     space = VarSpace.deriv(1)
     S = LatticeSet(1, sorted(((a, b) for a in range(34) for b in range(34 - a)), key=space.sort_key))
-    assert len(S) > linalg._SINGLE_PANEL
+    assert len(S) > linalg._BLOCK
     config = SampleConfig(radius=5000, seed=7)
     nbytes = len(S) * len(S) * 8
     tracemalloc.start()
@@ -200,6 +200,31 @@ def test_solve_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * nbytes
+
+
+@pytest.mark.skipif(
+    not linalg._ONE_BLAS_THREAD.functions(),
+    reason="numpy's BLAS is not an OpenBLAS whose thread count _OneBlasThread finds",
+)
+def test_blas_thread_count_restored_by_each_entry_point(monkeypatch):
+    # each call eliminates matrices wider than one block, so it pins BLAS to one thread
+    set_threads, get_threads = linalg._ONE_BLAS_THREAD.functions()
+    before = get_threads()
+    set_threads(3)
+    try:
+        S = LatticeSet(1, sorted(((a, b) for a in range(17) for b in range(17 - a)), key=VarSpace.deriv(1).sort_key))
+        assert len(S) > linalg._BLOCK
+        N = assemble(HARMONIC.reduce_mod(P), S, sample_points(SampleConfig(seed=5), len(S) + 3, 2))
+        assert minimal_element(N, S) is None and get_threads() == 3
+        assert nullspace(N) == [] and get_threads() == 3
+        sys_ = sparse_system(3, 2, 1, random.Random(1))
+        assert eliminate(sys_, SampleConfig(seed=1)).support_size and get_threads() == 3
+        monkeypatch.setattr(linalg, "_update", lambda *a: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            eliminate(sys_, SampleConfig(seed=1))
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
 
 
 def test_eliminate_mod_p_refuses_foreign_iterates_and_denominator_primes():

@@ -1,5 +1,8 @@
 """The modular echelon kernel against textbook elimination on Python ints."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from odelim import linalg
 from odelim.linalg import _echelon, _kernel_vector
 
 BLOCK = linalg._BLOCK
-SINGLE = linalg._SINGLE_PANEL
 P16 = 65521
 P23 = 8388593  # the largest prime below 2^23 = 2^MAX_PRIME_BITS
 PRIMES = [P16, P23]
@@ -103,7 +105,6 @@ def small_panels(monkeypatch):
     to leaves of at most 3 columns, 5 x 5 update tiles."""
     monkeypatch.setattr(linalg, "_BLOCK", 8)
     monkeypatch.setattr(linalg, "_LEAF", 3)
-    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
     monkeypatch.setattr(linalg, "_CHUNK", 5)
 
 
@@ -132,15 +133,13 @@ def test_small_panels_early_stop(small_panels, p):
 
 @pytest.mark.parametrize("p", PRIMES + REFUSED)
 @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-def test_panel_edges_blocked(monkeypatch, p, cols):
-    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
+def test_panel_edges_blocked(p, cols):
     rows = min(cols, BLOCK + 12)
     dependent = [c for c in (5, BLOCK - 1, BLOCK, BLOCK + 2) if c < cols]
     check(make_matrix(cols, rows, cols, p, dependent, zero_rows=2, zero_at=(BLOCK,)), p)
 
 
-def test_panel_edges_early_stop_at_panel_boundary(monkeypatch):
-    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
+def test_panel_edges_early_stop_at_panel_boundary():
     cols = 2 * BLOCK + 3
     degrees = [0] * BLOCK + [1] * (cols - BLOCK)
     A = make_matrix(7, BLOCK + 10, cols, P23, dependent=[BLOCK - 20])
@@ -151,14 +150,15 @@ def test_panel_edges_early_stop_at_panel_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [P16, P23, P30])
-@pytest.mark.parametrize("cols", [SINGLE - 1, SINGLE, SINGLE + 1])
+# one outer block is a single panel; wider matrices recurse, 512 columns included
+@pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1])
 def test_crossover(monkeypatch, p, cols):
     calls = []
     update = linalg._update
     monkeypatch.setattr(linalg, "_update", lambda *a: calls.append(a[3]) or update(*a))
-    dependent = [BLOCK // 2, BLOCK, cols - 1]
+    dependent = [c for c in (BLOCK // 2, BLOCK) if c < cols - 1] + [cols - 1]
     check(make_matrix(cols, BLOCK + 8, cols, p, dependent, zero_rows=1), p, kernels=3)
-    assert bool(calls) == (cols > SINGLE and p in PRIMES)
+    assert bool(calls) == (cols > BLOCK and p in PRIMES)
 
 
 @pytest.fixture
@@ -166,7 +166,6 @@ def uneven(monkeypatch):
     """11-column outer blocks split 5 + 6, then 2 + 3 and 3 + 3; 4 x 4 tiles."""
     monkeypatch.setattr(linalg, "_BLOCK", 11)
     monkeypatch.setattr(linalg, "_LEAF", 3)
-    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
     monkeypatch.setattr(linalg, "_CHUNK", 4)
 
 
@@ -217,17 +216,16 @@ def test_fewer_rows_than_columns(small_panels, p):
     assert check(make_matrix(9, 9, cols, p), p, degrees)[1:] == ([9, 10, 11], 12)
 
 
-def test_p23_raw_entries_in_leaf_and_panel(monkeypatch):
+def test_p23_raw_entries_in_leaf_and_panel():
     # unreduced rank-1 steps: up to 16 in a leaf of the recursion, where
     # entries next to p - 1 make each step add close to (p - 1)^2, and up
-    # to 511 on the last rows of the widest single panel, about 2^53 in all
+    # to 127 on the last rows of the widest single panel, about 2^53 in all
     rng = np.random.default_rng(23)
-    A = (P23 - 1 - rng.integers(0, 3, size=(SINGLE + 4, SINGLE))).tolist()
-    assert check(A, P23)[0] == list(range(SINGLE))
-    monkeypatch.setattr(linalg, "_SINGLE_PANEL", 0)
-    for cols in (linalg._LEAF, 3 * linalg._LEAF + 5):
-        A = (P23 - 1 - rng.integers(0, 3, size=(cols + 4, cols))).tolist()
-        check(A, P23)
+    A = (P23 - 1 - rng.integers(0, 3, size=(BLOCK + 4, BLOCK))).tolist()
+    assert check(A, P23)[0] == list(range(BLOCK))
+    cols = BLOCK + linalg._LEAF + 5  # leaves of 16 columns, then of 10 and 11
+    A = (P23 - 1 - rng.integers(0, 3, size=(cols + 4, cols))).tolist()
+    check(A, P23)
 
 
 @pytest.mark.parametrize("p", PRIMES + REFUSED)
@@ -297,3 +295,124 @@ def test_early_stop_leaves_later_columns_untouched(small_panels):
 def test_width_limit_of_delayed_reduction():
     with pytest.raises(ValueError, match="fewer than 128000 columns"):
         _echelon(np.zeros((1, linalg._MAX_COLS), dtype=np.int64), P23)
+
+
+# --- numpy's BLAS on one thread while an elimination recurses ----------------
+
+BLAS_THREADS = linalg._ONE_BLAS_THREAD.functions()
+needs_openblas = pytest.mark.skipif(
+    not BLAS_THREADS, reason="numpy's BLAS is not an OpenBLAS whose thread count _OneBlasThread finds"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS at 3 threads during the test; yields the count getter."""
+    set_threads, get_threads = BLAS_THREADS
+    before = get_threads()
+    set_threads(3)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+def random_matrix(seed, rows, cols):
+    return np.random.default_rng(seed).integers(0, P23, size=(rows, cols))
+
+
+@needs_openblas
+def test_blas_products_run_on_one_thread(monkeypatch, blas_threads):
+    seen = []
+    for name in ("_matmod", "_update"):
+        product = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, product=product: seen.append(blas_threads()) or product(*a))
+    _echelon(random_matrix(1, 2 * BLOCK + 8, 2 * BLOCK + 3), P23)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 3
+
+
+@needs_openblas
+def test_blas_thread_count_restored_after_return_and_raise(monkeypatch, blas_threads):
+    W = random_matrix(2, BLOCK + 20, 2 * BLOCK)
+    _echelon(W.copy(), P23)
+    assert blas_threads() == 3
+    leaf = linalg._Elimination.leaf
+
+    def failing_leaf(self, c0, c1, invert):
+        if c0 >= BLOCK // 2:  # after the first updates
+            raise RuntimeError("leaf failed")
+        return leaf(self, c0, c1, invert)
+
+    monkeypatch.setattr(linalg._Elimination, "leaf", failing_leaf)
+    with pytest.raises(RuntimeError, match="leaf failed"):
+        _echelon(W.copy(), P23)
+    assert blas_threads() == 3
+
+
+@needs_openblas
+def test_overlapping_eliminations_keep_one_thread_until_the_last_leaves(monkeypatch, blas_threads):
+    # both eliminations are inside before either goes on; the second then
+    # waits for the first to return, and must still see one BLAS thread
+    inside = threading.Barrier(2, timeout=30)
+    first_done = threading.Event()
+    seen = {"first": [], "second": []}
+    update = linalg._update
+
+    def spy(*args):
+        name = threading.current_thread().name
+        if not seen[name]:
+            inside.wait()
+            if name == "second" and not first_done.wait(30):
+                seen[name].append("first never returned")
+        seen[name].append(blas_threads())
+        return update(*args)
+
+    def first():
+        _echelon(random_matrix(3, BLOCK + 20, BLOCK + 10), P23)
+        first_done.set()
+
+    monkeypatch.setattr(linalg, "_update", spy)
+    threads = [
+        threading.Thread(target=first, name="first"),
+        threading.Thread(target=_echelon, args=(random_matrix(4, 2 * BLOCK + 8, 2 * BLOCK), P23), name="second"),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["first"] and set(seen["first"]) == {1}
+    assert len(seen["second"]) > 1 and set(seen["second"]) == {1}
+    assert blas_threads() == 3
+
+
+@needs_openblas
+def test_many_threads_of_eliminations_restore_the_count(blas_threads):
+    # more threads than cores, switching often: a lost update of the depth
+    # count would leave BLAS at one thread or restore it too early
+    errors = []
+
+    def solve(seed):
+        try:
+            for k in range(3):
+                W0 = random_matrix(seed + k, BLOCK + 12, BLOCK + 1 + k)
+                pivots, free, _ = _echelon(W0.copy(), P23)
+                assert len(pivots) + len(free) == W0.shape[1]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(10 * i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert blas_threads() == 3
+    assert linalg._ONE_BLAS_THREAD._depth == 0
