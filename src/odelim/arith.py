@@ -26,16 +26,22 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PREFIXES = ((25_326_001, 3), (2_152_302_898_747, 5), (341_550_071_728_321, 7),
                 (3_825_123_056_546_413_051, 9))
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Trial division by every prime below _SIEVE_BOUND costs one gcd with their
+# product; it refuses most candidates of random_prime before Miller-Rabin.
+_SIEVE_BOUND = 1000
+_SMALL_PRIMES = frozenset(range(2, _SIEVE_BOUND)).difference(
+    *(range(q * q, _SIEVE_BOUND, q) for q in range(2, math.isqrt(_SIEVE_BOUND) + 1))
+)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for word-sized integers (n < 2^64)."""
-    if n < 2:
+    if n < _SIEVE_BOUND:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     k = next((k for bound, k in _MR_PREFIXES if n < bound), len(_MR_WITNESSES))

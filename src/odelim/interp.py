@@ -4,8 +4,9 @@ The pipeline, per prime p:
 
 1. sample integer points in [-R, R]^n (distinct, deterministic per seed);
 2. get the jet (x1, x1', ..., x1^(nu)) of every trajectory mod p by
-   evaluating the Lie iterates L^k(x1), built over Q once per order and
-   only mapped to GF(p) per prime, at all points at once (ode.jet);
+   evaluating the Lie iterates L^k(x1), built once per system and turned
+   into integer forms (poly.IntegerForm) once per run, mod p at all
+   points at once (ode.jet), with no GF(p) copy of an iterate;
 3. evaluate every admissible monomial at every jet -> evaluation matrix N;
 4. eliminate left-to-right in graded-lex column order (odelim.linalg);
    the first pivotless column is the leading monomial of the minimal
@@ -52,7 +53,7 @@ from .arith import (
 from .errors import BadPrimeError, ComputationError, KernelAnomalyError
 from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector
 from .ode import OdeSystem, jet, lie_iterates, order_nu
-from .poly import QQ, SparsePoly, VarSpace
+from .poly import QQ, IntegerForm, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
 
 log = logging.getLogger("odelim.interp")
@@ -184,11 +185,10 @@ def _draw_points(rng, count: int, n: int, radius: int):
 # matrix assembly
 
 
-def _eval_matrix(iterates_p: list, S: LatticeSet, points) -> EvalMatrix:
-    p = iterates_p[0].ring.p
+def _eval_matrix(forms: list, p: int, S: LatticeSet, points) -> EvalMatrix:
     pts = np.array(points, dtype=np.int64)
     m = pts.shape[0]
-    jets = jet(iterates_p, pts.T)
+    jets = jet(forms, pts.T, p)
     maxe = [0] * (S.nu + 1)
     for e in S.points:
         for k, ek in enumerate(e):
@@ -220,7 +220,8 @@ def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
         raise ValueError(
             f"need at least {len(S.points)} points for {len(S.points)} monomials"
         )
-    N = _eval_matrix(lie_iterates(sys_p, S.nu + 1), S, points)
+    forms = [IntegerForm(h) for h in lie_iterates(sys_p, S.nu + 1)]
+    N = _eval_matrix(forms, sys_p.ring.p, S, points)
     N.data.flags.writeable = False
     return N
 
@@ -284,20 +285,19 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
 
 
 def _sampled_kernel(
-    iterates: list, p: int, S: LatticeSet, rows: int, config: SampleConfig, label: str
+    forms: list, p: int, S: LatticeSet, rows: int, config: SampleConfig, label: str
 ):
     """minimal_element of an evaluation matrix on ``rows`` fresh points mod p.
 
-    The points come from the ``label`` fork of the seed.  An anomalous
-    kernel redraws them; a persistent anomaly propagates as
-    KernelAnomalyError.
+    ``forms`` are the IntegerForms of the Lie iterates.  The points come
+    from the ``label`` fork of the seed.  An anomalous kernel redraws
+    them; a persistent anomaly propagates as KernelAnomalyError.
     """
-    iterates_p = [h.map_to(PrimeField(p)) for h in iterates]
     for attempt in range(_POINT_RETRIES):
         rng = fork_rng(config.seed, label, str(p), str(attempt))
-        points = _draw_points(rng, rows, iterates[0].space.nvars, config.radius)
+        points = _draw_points(rng, rows, forms[0].nvars, config.radius)
         try:
-            return minimal_element(_eval_matrix(iterates_p, S, points), S)
+            return minimal_element(_eval_matrix(forms, p, S, points), S)
         except KernelAnomalyError as exc:
             anomaly = exc
             log.debug("%s solve, prime %d attempt %d: %s", label, p, attempt, exc)
@@ -322,14 +322,15 @@ def eliminate_mod_p(sys: OdeSystem, p: int, S: LatticeSet, config: SampleConfig,
         raise ValueError(f"iterates must be lie_iterates(sys, {S.nu + 1})")
     if sys.denominator() % p == 0:
         raise BadPrimeError(f"prime {p} divides a denominator of the system")
-    vec = _sampled_kernel(iterates, p, S, len(S.points), config, "points")
+    forms = [IntegerForm(h) for h in iterates]
+    vec = _sampled_kernel(forms, p, S, len(S.points), config, "points")
     if vec is None:
         return None
     support = tuple(mono for mono, value in zip(S.points, vec) if value)
     return support, tuple(value for value in vec if value)
 
 
-def _solve_on_support(iterates: list, p: int, support, nu: int, config: SampleConfig):
+def _solve_on_support(forms: list, p: int, support, nu: int, config: SampleConfig):
     """Shrunk solve: only the known support monomials, a few extra rows.
 
     Returns the coefficient vector (pivot-normalized at the last support
@@ -337,7 +338,7 @@ def _solve_on_support(iterates: list, p: int, support, nu: int, config: SampleCo
     string "badlead" when this prime divides the leading coefficient.
     """
     rows = len(support) + _EXTRA_ROWS
-    vec = _sampled_kernel(iterates, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
+    vec = _sampled_kernel(forms, p, LatticeSet(nu, tuple(support)), rows, config, "shrunk")
     if vec is not None and vec[-1] == 0:
         # the relation exists mod p but its leading coefficient vanished:
         # p divides the true leading coefficient; skip this prime
@@ -348,14 +349,17 @@ def _solve_on_support(iterates: list, p: int, support, nu: int, config: SampleCo
 def _probe_membership(iterates: list, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
     """Whether f vanishes at the jets of fresh points over a fresh prime.
 
-    f has integer coefficients with content 1: it has an image mod every prime.
+    f has integer coefficients with content 1: it has an image mod every
+    prime.  The probe takes _PROBE_POINTS points, or every point of the
+    sampling box when the box holds fewer.
     """
     p = fresh_prime()
     rng = fork_rng(config.seed, "probe", str(p))
     n = iterates[0].space.nvars
-    points = np.array(_draw_points(rng, _PROBE_POINTS, n, config.radius), dtype=np.int64)
-    values = jet([h.map_to(PrimeField(p)) for h in iterates], points.T)
-    return not f.map_to(PrimeField(p)).evaluate(values).any()
+    count = min(_PROBE_POINTS, (2 * config.radius + 1) ** n)
+    points = np.array(_draw_points(rng, count, n, config.radius), dtype=np.int64)
+    values = jet([IntegerForm(h) for h in iterates], points.T, p)
+    return not IntegerForm(f).evaluate(values, p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +447,8 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     S = enumerate_lattice(bound)
     log.debug("order %d: support bound has %d monomials", nu, len(S.points))
     _check_memory(nu, len(S.points), config.threads)
-    iterates = lie_iterates(sys, nu + 1)  # every solve and the probe map these to GF(p)
+    iterates = lie_iterates(sys, nu + 1)
+    forms = [IntegerForm(h) for h in iterates]  # every shrunk solve evaluates these mod p
     full_solve = partial(eliminate_mod_p, sys, S=S, config=config, iterates=iterates)
 
     used_primes = set()
@@ -519,7 +524,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
         while len(primes_used) < config.max_primes:
             while len(pending) < threads:
                 q = fresh_prime()
-                pending.append((q, defer(_solve_on_support, iterates, q, support, nu, config)))
+                pending.append((q, defer(_solve_on_support, forms, q, support, nu, config)))
             p, solve = pending.pop(0)
             try:
                 solved = solve()

@@ -8,8 +8,8 @@ The three operators around which everything else is built:
 * the reduction map       R(x1^(k)) = L^k(x1),
 
 together with Monte-Carlo detection of the minimal differential order and
-the jets of x1 over a prime field, j_k = L^k(x1) at one point or at a
-batch of points at once.  R is the bridge between differential
+the jets of x1 modulo a prime, j_k = L^k(x1) at one point or at a batch
+of points at once.  R is the bridge between differential
 polynomials in x1 and plain polynomials on phase space: F vanishes along
 every trajectory of the system exactly when R(F) = 0.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .arith import BadPrimeError, PrimeField, fork_rng, random_prime
 from .errors import BudgetExceededError, ParseError
 from .linalg import MAX_PRIME_BITS, _echelon
-from .poly import QQ, SparsePoly, VarSpace, _ExprParser, _tokenize
+from .poly import QQ, IntegerForm, SparsePoly, VarSpace, _ExprParser, _tokenize
 
 _ORDER_REPS = 3  # Jacobian ranks taken by order_nu, each at a fresh prime and point
 
@@ -36,10 +36,11 @@ class OdeSystem:
     coefficient ring (exact rationals, or a prime field for modular runs).
     Two degrees drive all support bounds downstream and are cached here:
     ``d`` is the total degree of g_1 and ``D`` the maximum degree among
-    g_2..g_n (zero when n = 1, where it plays no role).
+    g_2..g_n (zero when n = 1, where it plays no role).  The Lie iterates
+    built for the system are kept on it too (lie_iterates).
     """
 
-    __slots__ = ("n", "g", "ring", "space", "d", "D")
+    __slots__ = ("n", "g", "ring", "space", "d", "D", "_iterates")
 
     def __init__(self, g):
         g = list(g)
@@ -61,6 +62,7 @@ class OdeSystem:
         self.space = space
         self.d = max(g[0].total_degree(), 0)
         self.D = 0 if n == 1 else max(max(q.total_degree(), 0) for q in g[1:])
+        self._iterates = ()
 
     def denominator(self) -> int:
         """lcm of the coefficient denominators; reduce_mod(p) needs p not to divide it."""
@@ -161,13 +163,23 @@ def lie_derivative(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
 
 
 def lie_iterates(sys: OdeSystem, count: int) -> list[SparsePoly]:
-    """[x1, L(x1), L^2(x1), ..., L^(count-1)(x1)] as state-regime polynomials."""
+    """[x1, L(x1), L^2(x1), ..., L^(count-1)(x1)] as state-regime polynomials.
+
+    Built once per system: the system keeps the longest tuple so far, and a
+    longer request derives only the missing iterates and publishes the new
+    tuple in one assignment, so concurrent callers never see a partial one.
+    """
     if count < 1:
         return []
-    out = [SparsePoly.variable(sys.space, 0, sys.ring)]
-    for _ in range(count - 1):
-        out.append(lie_derivative(sys, out[-1]))
-    return out
+    have = sys._iterates
+    if len(have) < count:
+        out = list(have) or [SparsePoly.variable(sys.space, 0, sys.ring)]
+        while len(out) < count:
+            out.append(lie_derivative(sys, out[-1]))
+        have = tuple(out)
+        if len(have) > len(sys._iterates):
+            sys._iterates = have
+    return list(have[:count])
 
 
 def lie_star(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
@@ -354,16 +366,15 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
         rng = fork_rng(2026, "order-nu")
     n = sys.n
     rows = lie_iterates(sys, n)
-    jac = [[rows[i].partial_derivative(j) for j in range(n)] for i in range(n)]
+    jac = [[IntegerForm(rows[i].partial_derivative(j)) for j in range(n)] for i in range(n)]
     denominator = sys.denominator()
     best = 0
     for _ in range(_ORDER_REPS):
         p = random_prime(MAX_PRIME_BITS, rng)
         while denominator % p == 0:
             p = random_prime(MAX_PRIME_BITS, rng)
-        field = PrimeField(p)
         point = [rng.randrange(p) for _ in range(n)]
-        matrix = [[entry.map_to(field).evaluate(point) for entry in row] for row in jac]
+        matrix = [[entry.evaluate(point, p) for entry in row] for row in jac]
         pivots, _, _ = _echelon(np.array(matrix, dtype=np.int64), p)
         best = max(best, len(pivots))
         if best == n:
@@ -375,24 +386,25 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
 # jets
 
 
-def jet(iterates: list, base) -> list:
-    """Jet (j_0, ..., j_nu) of x1 at ``base``: j_k = R(x1^(k)) = L^k(x1) there.
+def jet(iterates: list, base, p: int) -> list:
+    """Jet (j_0, ..., j_nu) of x1 at ``base`` mod p: j_k = R(x1^(k)) = L^k(x1) there.
 
-    jet only evaluates ``iterates``, the Lie iterates x1, ..., L^nu(x1) mod p:
-    a run builds lie_iterates(sys, nu + 1) over Q once and maps them with
-    ``map_to(GF(p))`` for each prime.  ``base`` gives one value per variable:
-    an int (any p), or an int64 numpy array of point values, in which case
-    every j_k is an array of the jets at all those points; arrays need
-    p < 2^MAX_PRIME_BITS, so that products of residues stay exact.
+    jet only evaluates ``iterates``, the IntegerForms of the Lie iterates
+    x1, ..., L^nu(x1) over Q, mod p: a run or a check builds the forms
+    once, and no prime gets a GF(p) copy of an iterate.  ``base`` gives one
+    value per variable: an int (any p), or an int64 numpy array of point
+    values, in which case every j_k is an array of the jets at all those
+    points; arrays need p < 2^MAX_PRIME_BITS, so that products of residues
+    stay exact.
     """
-    if not iterates or not isinstance(iterates[0].ring, PrimeField):
-        raise ValueError("jets need the iterates x1, ..., L^nu(x1) reduced modulo a prime")
-    p, nu, n = iterates[0].ring.p, len(iterates) - 1, iterates[0].space.nvars
+    if not iterates:
+        raise ValueError("jets need the iterates x1, ..., L^nu(x1)")
+    nu = len(iterates) - 1
     if p <= nu:
         raise BadPrimeError(f"prime {p} must exceed the jet order {nu}")
-    if len(base) != n:
-        raise ValueError(f"base point has {len(base)} coordinates, expected {n}")
+    if len(base) != iterates[0].nvars:
+        raise ValueError(f"base point has {len(base)} coordinates, expected {iterates[0].nvars}")
     zero = base[0] * 0  # 0, or zeros shaped like the base arrays
     if isinstance(zero, np.ndarray) and p >> MAX_PRIME_BITS:
         raise ValueError(f"jets of numpy point arrays need a prime below 2^{MAX_PRIME_BITS}")
-    return [h.evaluate(base) + zero for h in iterates]
+    return [h.evaluate(base, p) + zero for h in iterates]

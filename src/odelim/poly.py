@@ -22,11 +22,13 @@ store is warranted.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from functools import cache
 
-from .arith import PrimeField
-from .errors import ParseError
+from .arith import PrimeField, modinv
+from .errors import BadPrimeError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,10 @@ def _deriv_name(k: int) -> str:
 
 
 class VarSpace:
-    """An ordered variable set together with its graded-lex precedence."""
+    """An ordered variable set together with its graded-lex precedence.
+
+    Immutable: ``state``, ``deriv`` and ``mixed`` share one instance per argument.
+    """
 
     __slots__ = ("kind", "n", "order", "names", "_prec")
 
@@ -104,6 +109,7 @@ class VarSpace:
         self._prec = prec   # storage indices from highest precedence to lowest
 
     @staticmethod
+    @cache
     def state(n: int) -> "VarSpace":
         if n < 1:
             raise ValueError("need at least one state variable")
@@ -111,6 +117,7 @@ class VarSpace:
         return VarSpace("state", n, None, names, tuple(range(n)))
 
     @staticmethod
+    @cache
     def deriv(order: int) -> "VarSpace":
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -118,6 +125,7 @@ class VarSpace:
         return VarSpace("deriv", 1, order, names, tuple(range(order, -1, -1)))
 
     @staticmethod
+    @cache
     def mixed(order: int, n: int) -> "VarSpace":
         if order < 0 or n < 1:
             raise ValueError("bad mixed space parameters")
@@ -492,8 +500,6 @@ class SparsePoly:
             raise ValueError("canonical normalization is defined over the rationals")
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
-        import math
-
         lcm_den = 1
         gcd_num = 0
         for c in self.terms.values():
@@ -574,6 +580,54 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.render()!r})"
+
+
+class IntegerForm:
+    """A polynomial as integer numerators over one common denominator.
+
+    Built once from a polynomial over QQ (or GF(p), whose coefficients
+    read as integers), it evaluates modulo any prime without a GF(p) copy
+    of the polynomial: one ``%`` per numerator and one inverse of the
+    denominator.  The caller keeps it; nothing caches it on the polynomial.
+    """
+
+    __slots__ = ("nvars", "denominator", "degrees", "terms")
+
+    def __init__(self, f: SparsePoly):
+        self.nvars = f.space.nvars
+        self.denominator = den = math.lcm(*(c.denominator for c in f.terms.values()))
+        self.degrees = f.max_exponents()
+        # (numerator, ((variable, exponent), ...)) with the zero exponents left out
+        self.terms = tuple(
+            (c.numerator * (den // c.denominator), tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in f.terms.items()
+        )
+
+    def evaluate(self, point, p: int):
+        """Value mod p at ``point``: one int per variable, or one int64 array each.
+
+        Arrays evaluate a batch of points at once and need p < 2^23, so
+        that products of two residues stay exact.  Raises BadPrimeError
+        when p divides the denominator.
+        """
+        if len(point) != self.nvars:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
+        den = self.denominator % p
+        if not den:
+            raise BadPrimeError(f"denominator {self.denominator} vanishes mod {p}")
+        tables = []
+        for x, m in zip(point, self.degrees):
+            row, x = [1], x % p
+            for _ in range(m):
+                row.append(row[-1] * x % p)
+            tables.append(row)
+        total = 0
+        for num, factors in self.terms:
+            v = num % p
+            for i, e in factors:
+                v = v * tables[i][e] % p
+            total += v
+        return total % p * modinv(den, p) % p
 
 
 # ---------------------------------------------------------------------------

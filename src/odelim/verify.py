@@ -17,11 +17,11 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from .arith import fork_rng, is_prime, random_prime
+from .arith import MAX_PRIME_BITS, fork_rng, is_prime, random_prime
 from .errors import VerificationError
 from .interp import EliminationResult, SampleConfig, Verification, eliminate
 from .ode import OdeSystem, jet, lie_iterates, reduction
-from .poly import GF, SparsePoly
+from .poly import IntegerForm, SparsePoly
 
 CHECK_TERM_BUDGET = 500_000
 
@@ -43,9 +43,15 @@ def check_probabilistic(
     counts only the executed trials and carries their summed union bound
     explicitly, which is 1 for a nonzero F when no trial ran.  The primes
     may exceed 2^30 (the jets are Python ints) and must exceed the order.
-    The Lie iterates are built over Q once per call; a trial only maps
-    them to GF(p) and evaluates them.
+    F and the Lie iterates (built once per system, see lie_iterates) are
+    turned into integer forms once per call; a trial only evaluates those
+    mod its prime.  ``trials`` must be nonnegative and ``prime_bits`` lie
+    in [2, 62]; both are checked before any other work.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not 2 <= prime_bits <= MAX_PRIME_BITS:
+        raise ValueError(f"prime_bits must lie in [2, {MAX_PRIME_BITS}], got {prime_bits}")
     if F.space.kind != "deriv":
         raise ValueError("F must be a polynomial in x1 and its derivatives")
     nu = F.space.order
@@ -57,12 +63,13 @@ def check_probabilistic(
     if not any(is_prime(q) for q in range(lo, 1 << prime_bits)):
         raise ValueError(f"no {prime_bits}-bit prime exceeds the order {nu}")
     iterates = lie_iterates(sys, nu + 1)
-    denominator = math.lcm(sys.denominator(), *(c.denominator for c in F.terms.values()))
+    forms = [IntegerForm(h) for h in iterates]
+    form = IntegerForm(F)
+    denominator = math.lcm(sys.denominator(), form.denominator)
     # the degree of one substitution x1^(k) -> L^k(x1), k <= nu
     degree_cap = max(F.total_degree(), 0) * max(max(h.total_degree(), 0) for h in iterates)
     rng = fork_rng(seed, "verify")
-    bound = Fraction(0)
-    executed = 0
+    primes = []  # of the executed trials
     outcome = True
     for _ in range(trials):
         while True:
@@ -71,16 +78,17 @@ def check_probabilistic(
                 break
         if denominator % p == 0:
             continue  # denominator collision: the trial is not executed
-        Fp = F.map_to(GF(p))
         point = [rng.randrange(p) for _ in range(sys.n)]
-        values = jet([h.map_to(GF(p)) for h in iterates], point)
-        executed += 1
-        bound += Fraction(degree_cap, p)
-        if Fp.evaluate(values) != 0:
+        primes.append(p)
+        if form.evaluate(jet(forms, point, p), p) != 0:
             outcome = False
             break
-    bound = min(bound, Fraction(1)) if executed else Fraction(1)
-    return Verification("probabilistic", executed, bound, outcome)
+    if not primes:
+        return Verification("probabilistic", 0, Fraction(1), outcome)
+    # the union bound, the sum of degree_cap / p, as one fraction
+    product = math.prod(primes)
+    bound = Fraction(degree_cap * sum(product // p for p in primes), product)
+    return Verification("probabilistic", len(primes), min(bound, Fraction(1)), outcome)
 
 
 def check_exact(sys: OdeSystem, F: SparsePoly, max_terms: int = CHECK_TERM_BUDGET) -> Verification:

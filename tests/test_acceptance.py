@@ -14,7 +14,7 @@ from _gen import dense_system, sparse_system
 from odelim.arith import CrtAccumulator, PrimeField, crt_absorb, is_prime, rational_reconstruct
 from odelim.interp import SampleConfig, assemble, eliminate, minimal_element, nullspace, sample_points
 from odelim.ode import jet, lie_iterates, lie_star, parse_system, reduction
-from odelim.poly import GF, QQ, SparsePoly, VarSpace, parse_derivative_poly
+from odelim.poly import GF, QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, count_lattice, enumerate_lattice, hull_lattice_count
 from odelim.verify import check_exact
 
@@ -134,7 +134,7 @@ def test_property_jet_reduction_equivalence():
             )
             nu = min(n, 2)
             base = [rng.randrange(p) for _ in range(n)]
-            values = jet(lie_iterates(sys_.reduce_mod(p), nu + 1), base)
+            values = jet([IntegerForm(h) for h in lie_iterates(sys_, nu + 1)], base, p)
             space = VarSpace.deriv(nu)
             exps = tuple(rng.randrange(3) for _ in range(nu + 1))
             mono = SparsePoly.monomial(space, exps, QQ.one)

@@ -212,3 +212,24 @@ def test_fork_rng_reproducible_and_label_sensitive():
     assert a == b
     assert a != c
     assert a != d
+
+
+def test_is_prime_agrees_with_a_sieve_below_10_to_the_5():
+    bound = 10**5
+    sieve = [False, False] + [True] * (bound - 2)
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, bound, q))
+    assert [is_prime(n) for n in range(bound)] == sieve
+    assert not any(is_prime(n) for n in range(-50, 0))
+
+
+def test_is_prime_agrees_with_twelve_witnesses_above_the_gcd_bound():
+    # no factor below the bound: the gcd passes them all to Miller-Rabin,
+    # and a product of two such primes is composite
+    primes = [q for q in range(1000, 1500) if all(q % d for d in range(2, 40))]
+    numbers = primes + [a * b for a in primes for b in primes if a <= b]
+    numbers += [a * b * c for a, b, c in zip(primes, primes[1:], primes[2:])]
+    reference = [all(_strong_probable_prime(n, a) for a in arith._MR_WITNESSES) for n in numbers]
+    assert [is_prime(n) for n in numbers] == reference
+    assert sum(reference) == len(primes)

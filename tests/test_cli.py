@@ -191,6 +191,19 @@ def test_cmd_eliminate_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_cmd_eliminate_probe_fits_a_small_box(tmp_path, capsys):
+    # the probe takes every point of a box too small for its 32 points; a
+    # box too small for a solve itself is still an error
+    harmonic = os.path.join(MODELS, "harmonic.ode")
+    assert cli.main(["eliminate", harmonic, "--radius", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["f_min"] == "x1'' + x1"
+    path = write_model(tmp_path, "x1' = x1^2 + 1")
+    assert cli.main(["eliminate", path, "--radius", "10"]) == 0
+    assert "x1^2 - x1' + 1" in capsys.readouterr().out
+    assert cli.main(["eliminate", harmonic, "--radius", "1"]) == 4
+    assert "cannot place 10 distinct points in a box of 9" in capsys.readouterr().err
+
+
 def test_cmd_eliminate_memory_guard_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(interp, "_available_memory", lambda: 100)
     path = write_model(tmp_path, "x1' = x2\nx2' = -x1")

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -22,8 +23,8 @@ from odelim.interp import (
     nullspace,
     sample_points,
 )
-from odelim.ode import lie_iterates, parse_system, reduction
-from odelim.poly import GF, QQ, SparsePoly, VarSpace, parse_derivative_poly
+from odelim.ode import lie_derivative, lie_iterates, parse_system, reduction
+from odelim.poly import GF, QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice
 
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
@@ -179,7 +180,7 @@ def test_minimal_element_leaves_assembled_matrix_unchanged():
     assert minimal_element(N, S) is not None
     assert (N.data == before).all()
     # the pipeline's own matrix is writable and eliminated in place
-    own = interp._eval_matrix(lie_iterates(SQUARED.reduce_mod(P), S.nu + 1), S, pts)
+    own = interp._eval_matrix([IntegerForm(h) for h in lie_iterates(SQUARED, S.nu + 1)], P, S, pts)
     assert (own.data == before).all() and own.data.flags.writeable
     assert minimal_element(own, S) == minimal_element(N, S)
     assert (own.data != before).any()
@@ -580,6 +581,47 @@ def test_eliminate_threads_same_result():
     b = eliminate(SQUARED, SampleConfig(seed=11, threads=3))
     assert a.f_min == b.f_min
     assert a.primes_used == b.primes_used
+
+
+def test_concurrent_eliminations_of_one_system_share_its_iterates():
+    # six threads eliminate one freshly parsed system at once, switching
+    # every microsecond: each gets the serial result, and the list the
+    # system keeps holds each iterate once, each the derivative of the last
+    with open(os.path.join(MODELS, "quadratic.ode")) as fh:
+        text = fh.read()
+    serial = eliminate(parse_system(text), SampleConfig(seed=2))
+    shared = parse_system(text)
+    start = threading.Barrier(6)
+    results = [None] * 6
+
+    def run(i):
+        start.wait()
+        results[i] = eliminate(shared, SampleConfig(seed=2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    for res in results:
+        assert res.f_min == serial.f_min and res.primes_used == serial.primes_used
+    cached = shared._iterates
+    assert isinstance(cached, tuple) and len(cached) == max(shared.n, serial.nu + 1)
+    assert cached[0] == SparsePoly.variable(shared.space, 0)
+    for before, after in zip(cached, cached[1:]):
+        assert after == lie_derivative(shared, before)
+
+
+def test_eliminations_share_the_space_of_f_min():
+    a = eliminate(parse_system("x1' = x2\nx2' = -x1"))
+    b = eliminate(parse_system("x1' = x2\nx2' = -x1"))
+    assert a.f_min.space is b.f_min.space is VarSpace.deriv(2)
 
 
 def test_sample_config_threads_at_least_one():

@@ -25,6 +25,7 @@ from odelim.ode import (
 from odelim.poly import (
     GF,
     QQ,
+    IntegerForm,
     SparsePoly,
     VarSpace,
     parse_polynomial,
@@ -35,6 +36,10 @@ from odelim.poly import (
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
 SQUARED = parse_system("x1' = x2^2\nx2' = x1")
 QUAD43 = parse_system("x1' = x1^2 + x1*x2 + x2^2 + 1\nx2' = x2")
+
+
+def forms_of(iterates):
+    return [IntegerForm(h) for h in iterates]
 
 
 # --- parsing --------------------------------------------------------------
@@ -396,35 +401,36 @@ def test_jet_scalar_square():
     p = 1000003
     sysp = parse_system("x1' = x1^2").reduce_mod(p)
     c = 12345
-    assert jet(lie_iterates(sysp, 3), [c]) == [c, c * c % p, 2 * c ** 3 % p]
+    assert jet(forms_of(lie_iterates(sysp, 3)), [c], p) == [c, c * c % p, 2 * c ** 3 % p]
 
 
 def test_jet_harmonic():
     p = 97
     sysp = HARMONIC.reduce_mod(p)
     a, b = 5, 11
-    assert jet(lie_iterates(sysp, 3), [a, b]) == [a, b, (-a) % p]
+    assert jet(forms_of(lie_iterates(sysp, 3)), [a, b], p) == [a, b, (-a) % p]
 
 
 def test_jet_requires_large_prime():
     sysp = HARMONIC.reduce_mod(2)
     with pytest.raises(BadPrimeError):
-        jet(lie_iterates(sysp, 3), [1, 1])
+        jet(forms_of(lie_iterates(sysp, 3)), [1, 1], 2)
 
 
 def test_jet_batch_matches_scalar_jets_below_2_to_23():
     sys_ = parse_system("x1' = x1^2 + 3*x2\nx2' = x1*x2 - 5")
     pts = np.array([[12, -7], [-1893, 1893], [123456789, 44]], dtype=np.int64)
-    iterates = lie_iterates(sys_.reduce_mod(8388593), 3)  # the largest prime below 2^23
-    batch = jet(iterates, pts.T)
+    iterates = forms_of(lie_iterates(sys_, 3))
+    p = 8388593  # the largest prime below 2^23
+    batch = jet(iterates, pts.T, p)
     for i, pt in enumerate(pts.tolist()):
-        assert [int(j[i]) for j in batch] == jet(iterates, pt)
+        assert [int(j[i]) for j in batch] == jet(iterates, pt, p)
     # a 40-bit residue squared overflows int64: the batch is refused, and
     # the scalar jet (Python ints) stays exact
-    iterates = lie_iterates(sys_.reduce_mod(1099511627689), 3)
+    p = 1099511627689
     with pytest.raises(ValueError, match=r"2\^23"):
-        jet(iterates, pts.T)
-    assert jet(iterates[:2], [123456789, 44])[1] == (123456789**2 + 3 * 44) % 1099511627689
+        jet(iterates, pts.T, p)
+    assert jet(iterates[:2], [123456789, 44], p)[1] == (123456789**2 + 3 * 44) % p
 
 
 def test_jet_matches_symbolic_reduction():
@@ -436,7 +442,7 @@ def test_jet_matches_symbolic_reduction():
         sys_ = sparse_system(n, rng.randint(1, 3), rng.randint(1, 3) if n > 1 else 1, rng)
         base = [rng.randrange(p) for _ in range(n)]
         nu = min(n, 3)
-        values = jet([h.map_to(field) for h in lie_iterates(sys_, nu + 1)], base)
+        values = jet(forms_of(lie_iterates(sys_, nu + 1)), base, p)
         for k in range(nu + 1):
             mono = SparsePoly.monomial(
                 VarSpace.deriv(nu), [0] * k + [1] + [0] * (nu - k), QQ.one
@@ -459,6 +465,6 @@ def test_jet_oracle_on_random_monomials():
         exps = tuple(rng.randrange(3) for _ in range(nu + 1))
         mono = SparsePoly.monomial(space, exps, QQ.one)
         base = [rng.randrange(p) for _ in range(n)]
-        lhs = mono.map_to(field).evaluate(jet(lie_iterates(sys_.reduce_mod(p), nu + 1), base))
+        lhs = mono.map_to(field).evaluate(jet(forms_of(lie_iterates(sys_.reduce_mod(p), nu + 1)), base, p))
         rhs = reduction(sys_, mono).map_to(field).evaluate(base)
         assert lhs == rhs

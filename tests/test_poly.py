@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odelim.errors import ParseError
+from odelim.errors import BadPrimeError, ParseError
 from odelim.poly import (
     GF,
     QQ,
+    IntegerForm,
     SparsePoly,
     VarSpace,
     parse_derivative_poly,
@@ -331,3 +332,49 @@ def test_round_trip_random():
             text = f.render()
             back = parse_polynomial(text, space)
             assert back == f, text
+
+
+# --- spaces and integer forms ------------------------------------------------
+
+
+def test_var_spaces_are_shared_per_argument():
+    assert VarSpace.deriv(3) is VarSpace.deriv(3)
+    assert VarSpace.state(2) is VarSpace.state(2)
+    assert VarSpace.mixed(2, 3) is VarSpace.mixed(2, 3)
+    assert VarSpace.deriv(3) is not VarSpace.deriv(2)
+    with pytest.raises(ValueError):
+        VarSpace.deriv(-1)
+
+
+def _rational_poly(space, rng):
+    f = rand_poly(space, rng)
+    return SparsePoly(space, QQ, {e: c / rng.randint(1, 60) for e, c in f.terms.items()})
+
+
+def test_integer_form_agrees_with_the_gf_p_copy():
+    rng = random.Random(31)
+    big, small = 1099511627689, 8388593  # a 40-bit prime, the largest prime below 2^23
+    for _ in range(300):
+        space = rng.choice((S2, D2, VarSpace.state(3)))
+        f = _rational_poly(space, rng)
+        form = IntegerForm(f)
+        point = [rng.randrange(-(1 << 45), 1 << 45) for _ in range(space.nvars)]
+        assert form.evaluate(point, big) == f.map_to(GF(big)).evaluate(point)
+        batch = list(np.array(
+            [[rng.randrange(-5000, 5000) for _ in range(7)] for _ in range(space.nvars)],
+            dtype=np.int64,
+        ))
+        got = np.broadcast_to(form.evaluate(batch, small), (7,))
+        assert (got == f.map_to(GF(small)).evaluate(batch)).all()
+
+
+def test_integer_form_refuses_a_prime_dividing_a_denominator():
+    f = parse_polynomial("1/7*x1^2 + 3/2*x2", S2)
+    assert IntegerForm(f).denominator == 14
+    with pytest.raises(BadPrimeError):
+        f.map_to(GF(7))
+    with pytest.raises(BadPrimeError):
+        IntegerForm(f).evaluate([1, 2], 7)
+    with pytest.raises(BadPrimeError):
+        IntegerForm(f).evaluate([np.arange(3), np.arange(3)], 7)
+    assert IntegerForm(f).evaluate([1, 2], 5) == f.map_to(GF(5)).evaluate([1, 2])

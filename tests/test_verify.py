@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from odelim.poly import QQ, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import bound_inequalities, enumerate_lattice
 from odelim.verify import certified_eliminate, check_exact, check_probabilistic
 
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
 SQUARED = parse_system("x1' = x2^2\nx2' = x1")
 QUAD43 = parse_system("x1' = x1^2 + x1*x2 + x2^2 + 1\nx2' = x2")
@@ -63,22 +65,28 @@ def test_lie_iterates_built_once_per_run_whatever_the_primes_and_trials(monkeypa
     calls = []
     derive = ode.lie_derivative
     monkeypatch.setattr(ode, "lie_derivative", lambda *args: calls.append(1) or derive(*args))
-    # order_nu takes n - 1 derivatives, the run's iterates nu more
+    # order_nu's n iterates and the run's nu + 1 share the system's list, so
+    # a freshly parsed system takes max(n - 1, nu) derivatives in all (the
+    # module-level systems would carry their lists from test to test)
     many = dense_system(3, 2, 1, random.Random(101))
+    harmonic = parse_system(HARMONIC.render())
     runs = []
-    for sys_, threads in ((many, 2), (HARMONIC, 1)):
+    for sys_, threads in ((many, 2), (harmonic, 1)):
         calls.clear()
         res = eliminate(sys_, SampleConfig(seed=101, threads=threads))
-        assert len(calls) == sys_.n - 1 + res.nu
+        assert len(calls) == max(sys_.n - 1, res.nu)
         runs.append(len(res.primes_used))
     assert runs[0] >= 5 * runs[1]
     F = parse_derivative_poly("x1'' + x1")
     counts = []
-    for trials in (1, 16):
-        calls.clear()
-        assert check_probabilistic(HARMONIC, F, trials=trials).trials == trials
-        counts.append(len(calls))
-    assert counts == [2, 2]
+    for sys_ in (harmonic, parse_system(HARMONIC.render())):
+        for trials in (1, 16):
+            calls.clear()
+            assert check_probabilistic(sys_, F, trials=trials).trials == trials
+            counts.append(len(calls))
+    # a check on an eliminated system takes none; on a fresh one, its nu
+    # derivatives once, whatever the trials
+    assert counts == [0, 0, 2, 0]
 
 
 def test_check_exact_accepts_the_true_relation():
@@ -280,3 +288,90 @@ def test_eliminate_is_exact_and_minimal_on_random_systems(sys_):
         S = enumerate_lattice(bound_inequalities(sys_.d, sys_.D, res.nu - 1))
         p = random_prime(config.prime_bits, fork_rng(config.seed, "lower-order"))
         assert eliminate_mod_p(sys_, p, S, config) is None
+
+
+# sum of 1/p over the 16 trial primes at seeds 0-2, which every system
+# below meets (no 40-bit prime divides its denominators)
+INVERSE_PRIME_SUMS = {
+    0: Fraction(
+        "970236088987236352489833270975878153882836815800638071882676468890426544"
+        "799169227725684868131175383821116097302615090738152275281494764222736517"
+        "851817975446863957131690261249943000/48748201879791139096820646168661921"
+        "968513325411527449634975112055495373509626510473841298847515124368258973"
+        "222249461908279164269564965642992442138219749497605507750553250511070601"
+        "467657723149"
+    ),
+    1: Fraction(
+        "477237604137859275499223127449695112012363865767769827554372066408936321"
+        "707974210317790285689185336766895353471660770926920663683023396237393384"
+        "1689085387399491993965840941779560666/2729769828467692265186512171186334"
+        "668099911963034172792721949637073193645241015879505330060662417055802309"
+        "833242805123161801806043313007744599555791674739725809838738728584279593"
+        "52349937501699"
+    ),
+    2: Fraction(
+        "820360655234410384252824018116643421034556902478309250274222763644952576"
+        "932052814828080345641375494320185162949162593111507469957224736294089936"
+        "505237546647965134809773840940982876/41279824584553826744613088798031257"
+        "691724827392677542441456497474439908260129437210130978414707556846011743"
+        "994527665689302779636421250199496723824635011614394516533948955242370239"
+        "353281125373"
+    ),
+}
+QUADRATIC_FMIN = (
+    "3*x1^2*(x1')^2 - 6*x1^3*x1' + 3*x1^4 - 3*x1*x1'*x1'' + 3*x1^2*x1'' - (x1')^3 "
+    "+ 8*x1*(x1')^2 - 7*x1^2*x1' + (x1'')^2 - 4*x1'*x1'' + 5*(x1')^2 - 8*x1*x1' "
+    "+ 7*x1^2 + 4*x1'' - 8*x1' + 4"
+)
+
+
+def test_check_probabilistic_records_are_pinned():
+    # the records of the GF(p)-copy implementation, to the exact bound
+    def model(name):
+        with open(os.path.join(MODELS, name + ".ode")) as fh:
+            return parse_system(fh.read())
+
+    members = (  # system, F, degree cap = deg F * the largest degree of an iterate
+        (model("harmonic"), "x1'' + x1", 1),
+        (model("squared_velocity"), "4*x1^2*x1' - (x1'')^2", 6),
+        (model("quadratic"), QUADRATIC_FMIN, 12),
+        (parse_system("x1' = 2/3*x2\nx2' = -3/4*x1"), "x1'' + 1/2*x1", 1),
+    )
+    for seed, sum_inverse in INVERSE_PRIME_SUMS.items():
+        for sys_, text, cap in members:
+            rep = check_probabilistic(sys_, parse_derivative_poly(text), seed=seed)
+            assert rep == Verification("probabilistic", 16, cap * sum_inverse, True)
+    # a non-member fails its first trial
+    first_primes = (565752525913, 776847719789, 1005677741561)
+    for seed, p in enumerate(first_primes):
+        rep = check_probabilistic(model("quadratic"), parse_derivative_poly("x1'' - x1"), seed=seed)
+        assert rep == Verification("probabilistic", 1, Fraction(3, p), False)
+
+
+def test_check_probabilistic_refuses_bad_arguments_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work before the argument checks")
+
+    F = parse_derivative_poly("x1'' + x1")
+    assert check_probabilistic(HARMONIC, F, trials=0) == Verification("probabilistic", 0, Fraction(1), True)
+    for name in ("lie_iterates", "is_prime", "random_prime"):
+        monkeypatch.setattr(verify_mod, name, forbidden)
+    for trials in (-1, -3):
+        with pytest.raises(ValueError, match="trials"):
+            check_probabilistic(HARMONIC, F, trials=trials)
+    for bits in (-1, 0, 1, 63, 70):
+        with pytest.raises(ValueError, match="prime_bits"):
+            check_probabilistic(HARMONIC, F, prime_bits=bits)
+
+
+def test_no_gf_p_copies_in_checks_and_the_crt_loop(monkeypatch):
+    calls = []
+    map_to = SparsePoly.map_to
+    monkeypatch.setattr(SparsePoly, "map_to", lambda *args: calls.append(1) or map_to(*args))
+    F = parse_derivative_poly("x1'' + x1")
+    sys_ = parse_system("x1' = 2/3*x2\nx2' = -3/4*x1")
+    res = eliminate(sys_, SampleConfig(seed=3))
+    assert res.f_min.render() == "2*x1'' + x1" and len(res.primes_used) >= 2
+    assert check_probabilistic(sys_, res.f_min).outcome
+    assert check_probabilistic(HARMONIC, F, trials=16).trials == 16
+    assert calls == []
