@@ -1,10 +1,13 @@
 """Exact and modular number arithmetic.
 
 Word-sized prime fields, deterministic prime generation, Chinese
-remaindering of residue vectors, and rational reconstruction.  Exact
-rationals are plain ``fractions.Fraction`` values throughout the package;
-Fraction already maintains the reduced-form / positive-denominator
-invariants we rely on.
+remaindering of residue vectors, and rational reconstruction: of one
+residue with a balanced numerator and denominator (rational_reconstruct),
+and of a residue vector over one common denominator (vector_reconstruct),
+which needs a smaller modulus when the coordinates share one large
+denominator.  Exact rationals are plain ``fractions.Fraction`` values
+throughout the package; Fraction already maintains the reduced-form /
+positive-denominator invariants we rely on.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BadPrimeError
 
@@ -56,12 +58,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@lru_cache(maxsize=4096)
-def _known_prime(n: int) -> bool:
-    """is_prime, remembered: a run builds a field for each of its primes several times."""
-    return is_prime(n)
 
 
 def random_prime(bits: int, rng: random.Random) -> int:
@@ -114,7 +110,7 @@ class PrimeField:
     def __init__(self, p: int):
         if p.bit_length() > MAX_PRIME_BITS:
             raise ValueError(f"modulus too large ({p.bit_length()} bits, max {MAX_PRIME_BITS})")
-        if not _known_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -219,3 +215,74 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
     if b > bound or math.gcd(b, m) != 1:
         return None
     return Fraction(a, b)
+
+
+# Common-denominator reconstruction keeps a margin of _VECTOR_MARGIN bits
+# below the modulus on the denominator and on every scaled numerator, and
+# refuses a vector after _VECTOR_MISSES coordinates that offer no factor.
+_VECTOR_MARGIN = 16
+_VECTOR_MISSES = 32
+
+
+def _denominator_factor(x: int, m: int) -> int | None:
+    """The first convergent denominator b of x/m with |smod(b*x, m)|*b*2^margin < m.
+
+    It must also be coprime to m.  The convergents come from the
+    half-extended Euclid of (m, x); None when none qualifies.
+    """
+    r0, r1 = m, x
+    s0, s1 = 0, 1
+    while r1:
+        b = abs(s1)
+        if b << _VECTOR_MARGIN >= m:
+            return None  # b only grows and |smod(b*x, m)| >= 1
+        if (min(r1, m - r1) * b) << _VECTOR_MARGIN < m and math.gcd(b, m) == 1:
+            return b
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    return None
+
+
+def vector_reconstruct(residues, m: int) -> list | None:
+    """Recover a rational vector t/d over one common denominator from its residues mod m.
+
+    A running denominator d starts at 1.  A residue r with
+    |smod(d*r, m)|*2^16 < m needs nothing; otherwise d is multiplied by the
+    first convergent denominator of (d*r mod m)/m that makes the scaled
+    residue small enough (see _denominator_factor).  The vector is refused
+    after 32 coordinates that offer no such factor, and accepted only when
+    d*2^16 < m and every |smod(d*r_i, m)|*2^16 < m; then it is the list of
+    Fraction(smod(d*r_i, m), d).  When every coordinate is a_i/c with one
+    denominator c, c comes from a coordinate whose |a_i|*c*2^16 < m, and
+    then each numerator needs only |a_i|*2^16 < m, where
+    rational_reconstruct needs m > 2*max(|a_i|, c_i)^2 for every i (Bright,
+    Storjohann, "Vector rational number reconstruction", ISSAC 2011).  As
+    with rational_reconstruct, the result is only a candidate.
+    """
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    d = 1
+    misses = 0
+    for r in residues:
+        x = d * r % m
+        if min(x, m - x) << _VECTOR_MARGIN < m:
+            continue
+        b = _denominator_factor(x, m)
+        if b is None:
+            misses += 1
+            if misses == _VECTOR_MISSES:
+                return None
+            continue
+        d *= b
+        if d << _VECTOR_MARGIN >= m:
+            return None
+    out = []
+    for r in residues:
+        t = d * r % m
+        if t > m // 2:
+            t -= m
+        if abs(t) << _VECTOR_MARGIN >= m:
+            return None
+        out.append(Fraction(t, d))
+    return out

@@ -15,7 +15,12 @@ The pipeline, per prime p:
    total-degree stratum, and there it must be one-dimensional).
 
 Across primes, coefficient vectors are pinned to pivot = 1 at the shared
-leading monomial, combined by CRT and rationally reconstructed; the run
+leading monomial and combined by CRT.  Each coordinate is then a_i/c with
+one denominator c, the leading integer coefficient of f_min; when
+reconstructing each coordinate alone fails, the vector is reconstructed
+over that common denominator (arith.vector_reconstruct).  Once c is
+known, each numerator needs only bits(a_i) plus a 16-bit margin instead
+of 2 * max(bits(a_i), bits(c_i)) + 1, so the run takes fewer primes.  It
 stops at the first reconstruction that a fresh-prime jet probe confirms.
 That is enough: a candidate on the found support with coefficient 1 at
 the first pivotless column, which vanishes on the trajectories, differs
@@ -49,6 +54,7 @@ from .arith import (
     is_prime,
     random_prime,
     rational_reconstruct,
+    vector_reconstruct,
 )
 from .errors import BadPrimeError, ComputationError, KernelAnomalyError
 from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector
@@ -670,11 +676,15 @@ def _accumulate(entries):
 
 
 def _reconstruct(acc: CrtAccumulator):
-    """Rational reconstruction of every residue, or None if one fails."""
+    """Rational reconstruction of the residue vector, or None.
+
+    Each coordinate alone first; when one fails, the whole vector over one
+    common denominator, which every coordinate of the pinned f_min shares.
+    """
     out = []
     for r in acc.residues:
         q = rational_reconstruct(r, acc.modulus)
         if q is None:
-            return None
+            return vector_reconstruct(acc.residues, acc.modulus)
         out.append(q)
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .poly import VarSpace
@@ -196,8 +197,13 @@ def _scan_lattice(bound: SupportBound, collect):
     return count
 
 
+@lru_cache(maxsize=8)
 def enumerate_lattice(bound: SupportBound) -> LatticeSet:
-    """All admissible exponent vectors, ascending graded-lex."""
+    """All admissible exponent vectors, ascending graded-lex.
+
+    Remembered per bound: every f_min found on one bound then keys its
+    terms by the lattice's own exponent tuples instead of holding copies.
+    """
     points = []
     _scan_lattice(bound, points.append)
     key = VarSpace.deriv(bound.nu).sort_key

@@ -1,5 +1,6 @@
 """Primes, prime fields, CRT accumulation and rational reconstruction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from odelim.arith import (
     modinv,
     random_prime,
     rational_reconstruct,
+    vector_reconstruct,
 )
 from odelim.errors import BadPrimeError
 
@@ -102,19 +104,6 @@ def test_prime_field_reduces_an_integral_fraction_without_an_inverse(monkeypatch
     assert F.reduce(Fraction(0)) == 0
     with pytest.raises(BadPrimeError):
         F.reduce(Fraction(3, 202))
-
-
-def test_prime_field_checks_each_modulus_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    arith._known_prime.cache_clear()
-    PrimeField(1000003)
-    PrimeField(1000003)
-    assert calls == [1000003]
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not prime"):
-            PrimeField(1000001)
-    assert calls == [1000003, 1000001]
 
 
 def test_prime_field_axioms():
@@ -233,3 +222,59 @@ def test_is_prime_agrees_with_twelve_witnesses_above_the_gcd_bound():
     reference = [all(_strong_probable_prime(n, a) for a in arith._MR_WITNESSES) for n in numbers]
     assert [is_prime(n) for n in numbers] == reference
     assert sum(reference) == len(primes)
+
+
+def _modulus(rng, bits):
+    """A product of distinct random 23-bit primes with at least ``bits`` bits."""
+    primes = set()
+    while math.prod(primes).bit_length() < bits:
+        primes.add(random_prime(23, rng))
+    return math.prod(primes)
+
+
+def _residues(vector, m):
+    return [q.numerator * pow(q.denominator, -1, m) % m for q in vector]
+
+
+def _common_denominator_vector(rng, length, num_bits, den_bits):
+    """a_i / c for one random c, numerators of 1 to num_bits bits, and c / c = 1 last."""
+    c = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+    nums = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, num_bits)) for _ in range(length)]
+    return [Fraction(a, c) for a in nums] + [Fraction(1)]
+
+
+def test_vector_reconstruct_shares_one_denominator_below_the_per_coordinate_bound():
+    # numerators up to 80 bits over one 60-bit denominator: each coordinate
+    # alone needs about 161 bits, the vector about 96
+    rng = random.Random(16)
+    for _ in range(20):
+        vector = _common_denominator_vector(rng, 40, 80, 60)
+        need = max(2 * max(abs(q.numerator), q.denominator) ** 2 for q in vector)
+        m = _modulus(rng, 110)
+        assert m < need
+        residues = _residues(vector, m)
+        assert any(rational_reconstruct(r, m) is None for r in residues)
+        assert vector_reconstruct(residues, m) == vector
+
+
+def test_vector_reconstruct_refuses_random_residues():
+    rng = random.Random(17)
+    for length in (1, 2, 40, 300):
+        for _ in range(25):
+            m = _modulus(rng, 110)
+            assert vector_reconstruct([rng.randrange(m) for _ in range(length)], m) is None
+
+
+def test_vector_reconstruct_agrees_where_each_coordinate_reconstructs():
+    rng = random.Random(18)
+    for _ in range(30):
+        c = rng.getrandbits(30) | 1 << 29
+        vector = [Fraction(rng.randint(-(1 << 30), 1 << 30), c // rng.choice((1, 1, 2, 3))) for _ in range(20)]
+        m = _modulus(rng, 120)
+        residues = _residues(vector, m)
+        each = [rational_reconstruct(r, m) for r in residues]
+        assert each == vector
+        assert vector_reconstruct(residues, m) == each
+    assert vector_reconstruct([0, 1, 5], 2**61 - 1) == [0, 1, 5]
+    with pytest.raises(ValueError):
+        vector_reconstruct([0], 1)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from _gen import sparse_system
+from _gen import dense_system, sparse_system
 from odelim import interp, linalg
 from odelim.arith import is_prime
 from odelim.errors import BadPrimeError, ComputationError
@@ -26,6 +26,7 @@ from odelim.interp import (
 from odelim.ode import lie_derivative, lie_iterates, parse_system, reduction
 from odelim.poly import GF, QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice
+from odelim.verify import certified_eliminate
 
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
 SQUARED = parse_system("x1' = x2^2\nx2' = x1")
@@ -622,6 +623,32 @@ def test_eliminations_share_the_space_of_f_min():
     a = eliminate(parse_system("x1' = x2\nx2' = -x1"))
     b = eliminate(parse_system("x1' = x2\nx2' = -x1"))
     assert a.f_min.space is b.f_min.space is VarSpace.deriv(2)
+
+
+def test_eliminations_share_the_exponent_tuples_of_f_min():
+    # the lattice is remembered per bound, so both f_min key their terms
+    # by its tuples rather than by copies
+    sys_ = sparse_system(3, 2, 1, random.Random(5))
+    a = eliminate(sys_, SampleConfig(seed=1))
+    b = eliminate(parse_system(sys_.render()), SampleConfig(seed=2))
+    assert a.f_min == b.f_min
+    for mono in a.f_min.terms:
+        assert next(k for k in b.f_min.terms if k == mono) is mono
+
+
+def test_common_denominator_stops_below_the_per_coordinate_bound():
+    # f_min pinned at its leading monomial is (integer coefficients) / lead:
+    # reconstructing each coordinate alone needs a modulus above
+    # 2 * max(|a_i|, c_i)^2, reconstructing over the one denominator does not
+    sys_ = dense_system(3, 2, 1, random.Random(1))
+    res = eliminate(sys_, SampleConfig(seed=1))
+    lead = res.f_min.leading_coefficient()
+    pinned = [c / lead for c in res.f_min.terms.values()]
+    need = max(2 * max(abs(q.numerator), q.denominator) ** 2 for q in pinned)
+    assert math.prod(res.primes_used) < need
+    certified = certified_eliminate(sys_, SampleConfig(seed=2))
+    assert certified.verified.kind == "exact"
+    assert certified.f_min == res.f_min
 
 
 def test_sample_config_threads_at_least_one():
