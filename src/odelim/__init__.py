@@ -6,7 +6,7 @@ satisfied by the coordinate x1, via modular evaluation–interpolation
 inside an explicit Newton-polytope support bound.
 """
 
-from .arith import CrtAccumulator, PrimeField, rational_reconstruct
+from .arith import CrtAccumulator, rational_reconstruct
 from .errors import (
     BadPrimeError,
     BudgetExceededError,
@@ -18,7 +18,7 @@ from .errors import (
 )
 from .interp import EliminationResult, SampleConfig, Verification, eliminate
 from .ode import OdeSystem, jet, lie_derivative, lie_star, order_nu, parse_system, reduction
-from .poly import GF, QQ, SparsePoly, VarSpace, parse_derivative_poly, parse_state_poly
+from .poly import QQ, SparsePoly, VarSpace, parse_derivative_poly, parse_state_poly
 from .support import (
     LatticeSet,
     SupportBound,
@@ -38,13 +38,11 @@ __all__ = [
     "ComputationError",
     "CrtAccumulator",
     "EliminationResult",
-    "GF",
     "KernelAnomalyError",
     "LatticeSet",
     "OdeSystem",
     "OdelimError",
     "ParseError",
-    "PrimeField",
     "QQ",
     "SampleConfig",
     "SparsePoly",

@@ -1,8 +1,8 @@
 """Exact and modular number arithmetic.
 
-Word-sized prime fields, deterministic prime generation, Chinese
-remaindering of residue vectors, and rational reconstruction: of one
-residue with a balanced numerator and denominator (rational_reconstruct),
+Deterministic prime generation, modular inverses, Chinese remaindering
+of residue vectors, and rational reconstruction: of one residue with a
+balanced numerator and denominator (rational_reconstruct),
 and of a residue vector over one common denominator (vector_reconstruct),
 which needs a smaller modulus when the coordinates share one large
 denominator.  Exact rationals are plain ``fractions.Fraction`` values
@@ -16,8 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import BadPrimeError
 
 MAX_PRIME_BITS = 62
 
@@ -93,68 +91,6 @@ def modinv(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in prime field")
     return pow(a, p - 2, p)
-
-
-class PrimeField:
-    """Arithmetic modulo a word-sized prime, elements stored in [0, p).
-
-    Also the coefficient ring of modular polynomials (``poly.GF``), next
-    to ``poly.QQ``: both offer coerce, add, mul, neg, div, zero, one
-    and name.
-    """
-
-    __slots__ = ("p",)
-    zero = 0
-    one = 1
-
-    def __init__(self, p: int):
-        if p.bit_length() > MAX_PRIME_BITS:
-            raise ValueError(f"modulus too large ({p.bit_length()} bits, max {MAX_PRIME_BITS})")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def name(self) -> str:
-        return f"GF({self.p})"
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
-    def div(self, a: int, b: int) -> int:
-        return a * modinv(b, self.p) % self.p
-
-    def reduce(self, q) -> int:
-        """Map an integer or Fraction into the field.
-
-        Raises BadPrimeError when a denominator is divisible by p, which
-        callers treat as "skip this prime".
-        """
-        if isinstance(q, Fraction):
-            if q.denominator == 1:
-                return q.numerator % self.p
-            den = q.denominator % self.p
-            if den == 0:
-                raise BadPrimeError(f"denominator {q.denominator} vanishes mod {self.p}")
-            return q.numerator * modinv(den, self.p) % self.p
-        return q % self.p
-
-    coerce = reduce
 
 
 @dataclass(frozen=True)

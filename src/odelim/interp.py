@@ -6,7 +6,7 @@ The pipeline, per prime p:
 2. get the jet (x1, x1', ..., x1^(nu)) of every trajectory mod p by
    evaluating the Lie iterates L^k(x1), built once per system and turned
    into integer forms (poly.IntegerForm) once per run, mod p at all
-   points at once (ode.jet), with no GF(p) copy of an iterate;
+   points at once (ode.jet);
 3. evaluate every admissible monomial at every jet -> evaluation matrix N;
 4. eliminate left-to-right in graded-lex column order (odelim.linalg);
    the first pivotless column is the leading monomial of the minimal
@@ -48,7 +48,6 @@ import numpy as np
 
 from .arith import (
     CrtAccumulator,
-    PrimeField,
     crt_absorb,
     fork_rng,
     is_prime,
@@ -136,9 +135,8 @@ class EliminationResult:
 class EvalMatrix:
     """Rows = sample points, columns = monomials (ascending graded-lex).
 
-    ``data`` is read-only when it comes from assemble; the matrices that
-    eliminate builds for itself are writable, and minimal_element
-    eliminates those in place.
+    ``data`` holds the residues mod p as int64; minimal_element eliminates
+    it in place.
     """
 
     data: np.ndarray
@@ -157,13 +155,8 @@ class EvalMatrix:
 # sampling
 
 
-def sample_points(config: SampleConfig, count: int, n: int):
-    """``count`` distinct points of [-radius, radius]^n, seed-deterministic."""
-    rng = fork_rng(config.seed, "points")
-    return _draw_points(rng, count, n, config.radius)
-
-
 def _draw_points(rng, count: int, n: int, radius: int):
+    """``count`` distinct points of [-radius, radius]^n drawn from ``rng``."""
     span = 2 * radius + 1
     if span**n < count:
         raise ComputationError(
@@ -192,6 +185,7 @@ def _draw_points(rng, count: int, n: int, radius: int):
 
 
 def _eval_matrix(forms: list, p: int, S: LatticeSet, points) -> EvalMatrix:
+    """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point)."""
     pts = np.array(points, dtype=np.int64)
     m = pts.shape[0]
     jets = jet(forms, pts.T, p)
@@ -216,42 +210,8 @@ def _eval_matrix(forms: list, p: int, S: LatticeSet, points) -> EvalMatrix:
     return EvalMatrix(N, p)
 
 
-def assemble(sys_p: OdeSystem, S: LatticeSet, points) -> EvalMatrix:
-    """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point)."""
-    if not isinstance(sys_p.ring, PrimeField):
-        raise ValueError("assemble expects a system reduced modulo a prime")
-    if sys_p.ring.p >> MAX_PRIME_BITS:
-        raise ValueError(f"assemble needs a prime below 2^{MAX_PRIME_BITS} (exact echelon products)")
-    if len(points) < len(S.points):
-        raise ValueError(
-            f"need at least {len(S.points)} points for {len(S.points)} monomials"
-        )
-    forms = [IntegerForm(h) for h in lie_iterates(sys_p, S.nu + 1)]
-    N = _eval_matrix(forms, sys_p.ring.p, S, points)
-    N.data.flags.writeable = False
-    return N
-
-
 # ---------------------------------------------------------------------------
 # kernels (the elimination itself lives in linalg)
-
-
-def nullspace(N: EvalMatrix):
-    """Reduced-echelon kernel basis of {c : N.c = 0} over GF(p).
-
-    Each basis vector is normalized so its first nonzero coordinate is 1.
-    """
-    W = N.data.copy()
-    p = N.p
-    pivots, free, _ = _echelon(W, p)
-    basis = []
-    for f in free:
-        vec = _kernel_vector(W, p, pivots, f)
-        lead = int(vec[np.nonzero(vec)[0][0]])
-        if lead != 1:
-            vec = vec * pow(lead, p - 2, p) % p
-        basis.append(tuple(int(v) for v in vec))
-    return basis
 
 
 def minimal_element(N: EvalMatrix, S: LatticeSet):
@@ -266,16 +226,13 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
     truncated relation ideal forbids; that is reported as an anomaly so
     the caller can retry with fresh points or a fresh prime.
 
-    A writable ``N.data`` (the matrices eliminate builds for itself) is
-    eliminated in place and left unspecified; a read-only one
-    (assemble's) is copied first.
+    ``N.data`` is eliminated in place and left unspecified.
     """
     if len(S.points) != N.cols:
         raise ValueError("monomial set does not match the matrix columns")
-    W = N.data if N.data.flags.writeable else N.data.copy()
     p = N.p
     degrees = [sum(e) for e in S.points]
-    pivots, free, _ = _echelon(W, p, degrees=degrees)
+    pivots, free, _ = _echelon(N.data, p, degrees=degrees)
     if not free:
         return None
     if len(free) > 1:
@@ -283,7 +240,7 @@ def minimal_element(N: EvalMatrix, S: LatticeSet):
             f"{len(free)}-dimensional kernel in the degree-{degrees[free[0]]} "
             f"stratum; expected dimension 1"
         )
-    return tuple(int(v) for v in _kernel_vector(W, p, pivots, free[0]))
+    return tuple(int(v) for v in _kernel_vector(N.data, p, pivots, free[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +345,6 @@ def eliminate(sys: OdeSystem, config: SampleConfig | None = None) -> Elimination
     its derivative collide in one degree stratum).
     """
     config = config or SampleConfig()
-    if sys.ring != QQ:
-        raise ValueError("eliminate expects an exact-rational system")
     if 2 * config.radius >= 1 << config.prime_bits:
         raise ValueError(
             "prime_bits too small for the sampling radius: points must stay "

@@ -2,8 +2,8 @@
 
 Every function here takes int64 arrays with entries reduced mod a prime
 p < 2^MAX_PRIME_BITS = 2^23.  _echelon refuses larger primes, SampleConfig
-keeps prime_bits at most MAX_PRIME_BITS, and interp.assemble refuses
-larger primes too.
+keeps prime_bits at most MAX_PRIME_BITS, and ode.jet refuses them for
+the point arrays of an evaluation matrix.
 
 Forward elimination follows the recursive LU of FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 2008; Jeannerod, Pernet and Storjohann,

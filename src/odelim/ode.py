@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import BadPrimeError, PrimeField, fork_rng, random_prime
-from .errors import BudgetExceededError, ParseError
+from .arith import fork_rng, random_prime
+from .errors import BadPrimeError, BudgetExceededError, ParseError
 from .linalg import MAX_PRIME_BITS, _echelon
 from .poly import QQ, IntegerForm, SparsePoly, VarSpace, _ExprParser, _tokenize
 
@@ -32,15 +32,14 @@ _ORDER_REPS = 3  # Jacobian ranks taken by order_nu, each at a fresh prime and p
 class OdeSystem:
     """An autonomous system x_i' = g_i(x1..xn) with polynomial right-hand sides.
 
-    The right-hand sides are state-regime polynomials over a common
-    coefficient ring (exact rationals, or a prime field for modular runs).
-    Two degrees drive all support bounds downstream and are cached here:
+    The right-hand sides are state-regime polynomials over QQ.  Two
+    degrees drive all support bounds downstream and are cached here:
     ``d`` is the total degree of g_1 and ``D`` the maximum degree among
     g_2..g_n (zero when n = 1, where it plays no role).  The Lie iterates
     built for the system are kept on it too (lie_iterates).
     """
 
-    __slots__ = ("n", "g", "ring", "space", "d", "D", "_iterates")
+    __slots__ = ("n", "g", "space", "d", "D", "_iterates")
 
     def __init__(self, g):
         g = list(g)
@@ -48,30 +47,21 @@ class OdeSystem:
             raise ValueError("a system needs at least one equation")
         n = len(g)
         space = VarSpace.state(n)
-        ring = g[0].ring
         for i, q in enumerate(g):
             if not isinstance(q, SparsePoly) or q.space != space:
                 raise ValueError(
                     f"right-hand side {i + 1} must be a polynomial in x1..x{n}"
                 )
-            if q.ring != ring:
-                raise ValueError("right-hand sides must share one coefficient ring")
         self.n = n
         self.g = tuple(g)
-        self.ring = ring
         self.space = space
         self.d = max(g[0].total_degree(), 0)
         self.D = 0 if n == 1 else max(max(q.total_degree(), 0) for q in g[1:])
         self._iterates = ()
 
     def denominator(self) -> int:
-        """lcm of the coefficient denominators; reduce_mod(p) needs p not to divide it."""
+        """lcm of the coefficient denominators: the system has no image mod a prime dividing it."""
         return math.lcm(*(c.denominator for q in self.g for c in q.terms.values()))
-
-    def reduce_mod(self, p) -> "OdeSystem":
-        """The same system with coefficients reduced into GF(p)."""
-        ring = p if isinstance(p, PrimeField) else PrimeField(p)
-        return OdeSystem([q.map_to(ring) for q in self.g])
 
     def relabel(self, target: int) -> "OdeSystem":
         """Swap x1 and x<target>, so that elimination acts on x<target>."""
@@ -85,7 +75,7 @@ class OdeSystem:
         g = []
         for i in perm:
             terms = {tuple(e[j] for j in perm): c for e, c in self.g[i].terms.items()}
-            g.append(SparsePoly(self.space, self.ring, terms))
+            g.append(SparsePoly(self.space, QQ, terms))
         return OdeSystem(g)
 
     def render(self) -> str:
@@ -154,7 +144,7 @@ def lie_derivative(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
     """Derivative of f along the flow: sum_i g_i * df/dx_i."""
     if f.space != sys.space:
         raise ValueError("f must be a state-regime polynomial of the same system")
-    out = SparsePoly.zero(sys.space, sys.ring)
+    out = SparsePoly.zero(sys.space)
     for i, gi in enumerate(sys.g):
         pd = f.partial_derivative(i)
         if pd.terms:
@@ -173,7 +163,7 @@ def lie_iterates(sys: OdeSystem, count: int) -> list[SparsePoly]:
         return []
     have = sys._iterates
     if len(have) < count:
-        out = list(have) or [SparsePoly.variable(sys.space, 0, sys.ring)]
+        out = list(have) or [SparsePoly.variable(sys.space, 0)]
         while len(out) < count:
             out.append(lie_derivative(sys, out[-1]))
         have = tuple(out)
@@ -201,7 +191,7 @@ def lie_star(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
     else:
         out_space = VarSpace.mixed(order + 1, sys.n)
     F = f.embed(out_space)
-    out = SparsePoly.zero(out_space, f.ring)
+    out = SparsePoly.zero(out_space)
     if space.kind == "mixed":
         for i in range(2, sys.n + 1):
             pd = F.partial_derivative(out_space.state_index(i))
@@ -210,7 +200,7 @@ def lie_star(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
     for k in range(order + 1):
         pd = F.partial_derivative(out_space.deriv_index(k))
         if pd.terms:
-            out = out + SparsePoly.variable(out_space, out_space.deriv_index(k + 1), f.ring) * pd
+            out = out + SparsePoly.variable(out_space, out_space.deriv_index(k + 1)) * pd
     return out
 
 
@@ -222,14 +212,13 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
     compared to expanding monomials independently.
 
     The Horner evaluation runs on plain dicts {packed exponent: int}.
-    Over QQ, let lam be the lcm of the denominators of g; then
+    Let lam be the lcm of the denominators of g; then
     H_k = lam^k * L^k(x1) is integral.  With mu the lcm of the
     denominators of F and W the largest weight w(e) = sum_k k*e_k of a
     term of F, the term c_e * x^(e) enters as the integer
     mu * c_e * lam^(W - w(e)), and the evaluation yields
     mu * lam^W * R(F); that constant is divided out of the returned
-    polynomial.  Over GF(p), lam = mu = 1 and sums and products are
-    reduced mod p.
+    polynomial.
 
     A state monomial x1^a1 ... xn^an is packed as sum_i a_i * B^(i-1)
     with B = delta + 1, where delta = max over terms e of F of
@@ -248,19 +237,12 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
     """
     if f.space.kind != "deriv":
         raise ValueError("f must be a polynomial in x1 and its derivatives")
-    if f.ring != sys.ring:
-        raise ValueError(f"coefficient-ring mismatch: {f.ring} vs {sys.ring}")
-    ring = sys.ring
     state = sys.space
     if not f.terms:
-        return SparsePoly.zero(state, ring)
+        return SparsePoly.zero(state)
     iterates = lie_iterates(sys, f.space.order + 1)
-    if isinstance(ring, PrimeField):
-        p, lam, mu = ring.p, 1, 1
-    else:
-        p = None
-        lam = sys.denominator()
-        mu = math.lcm(*(c.denominator for c in f.terms.values()))
+    lam = sys.denominator()
+    mu = math.lcm(*(c.denominator for c in f.terms.values()))
     degrees = [max(h.total_degree(), 0) for h in iterates]
     base = 1 + max(sum(e * dk for e, dk in zip(exps, degrees)) for exps in f.terms)
     weight = {exps: sum(k * e for k, e in enumerate(exps)) for exps in f.terms}
@@ -272,7 +254,6 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
             key = key * base + e
         return key
 
-    # c.numerator / c.denominator also read plain ints (GF(p) coefficients)
     H = [
         {pack(e): c.numerator * lam**k // c.denominator for e, c in h.terms.items()}
         for k, h in enumerate(iterates)
@@ -302,9 +283,9 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
         val = {}
         for j in range(max(strata), -1, -1):
             if val:
-                val = guard(_packed_mul(val, h, p))
+                val = guard(_packed_mul(val, h))
             if j in strata:
-                val = guard(_packed_add(val, descend(strata[j], k - 1), p))
+                val = guard(_packed_add(val, descend(strata[j], k - 1)))
         return val
 
     scale = mu * lam**top
@@ -314,12 +295,12 @@ def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> Sp
         for _ in range(state.nvars):
             key, e = divmod(key, base)
             exps.append(e)
-        out[tuple(exps)] = c if p else Fraction(c, scale)
-    return SparsePoly(state, ring, out, _clean=True)
+        out[tuple(exps)] = Fraction(c, scale)
+    return SparsePoly(state, QQ, out, _clean=True)
 
 
-def _packed_mul(a: dict, b: dict, p) -> dict:
-    """Product of two {packed exponent: int} polynomials, reduced mod p when p."""
+def _packed_mul(a: dict, b: dict) -> dict:
+    """Product of two {packed exponent: int} polynomials, zero terms dropped."""
     if len(a) < len(b):
         a, b = b, a
     out = {}
@@ -329,23 +310,16 @@ def _packed_mul(a: dict, b: dict, p) -> dict:
         for ea, ca in items:
             key = ea + eb
             out[key] = get(key, 0) + ca * cb
-    return _trim(out, p)
+    return {key: c for key, c in out.items() if c}
 
 
-def _packed_add(a: dict, b: dict, p) -> dict:
-    """Sum of two {packed exponent: int} polynomials, reduced mod p when p."""
+def _packed_add(a: dict, b: dict) -> dict:
+    """Sum of two {packed exponent: int} polynomials, zero terms dropped."""
     out = dict(a)
     get = out.get
     for key, c in b.items():
         out[key] = get(key, 0) + c
-    return _trim(out, p)
-
-
-def _trim(poly: dict, p) -> dict:
-    """Drop the zero coefficients, after reducing mod p when p."""
-    if p:
-        poly = {key: c % p for key, c in poly.items()}
-    return {key: c for key, c in poly.items() if c}
+    return {key: c for key, c in out.items() if c}
 
 
 def order_nu(sys: OdeSystem, rng=None) -> int:
@@ -360,8 +334,6 @@ def order_nu(sys: OdeSystem, rng=None) -> int:
     underestimate surfaces later as an empty interpolation kernel, which
     triggers escalation.
     """
-    if sys.ring != QQ:
-        raise ValueError("order detection expects an exact-rational system")
     if rng is None:
         rng = fork_rng(2026, "order-nu")
     n = sys.n
@@ -391,11 +363,10 @@ def jet(iterates: list, base, p: int) -> list:
 
     jet only evaluates ``iterates``, the IntegerForms of the Lie iterates
     x1, ..., L^nu(x1) over Q, mod p: a run or a check builds the forms
-    once, and no prime gets a GF(p) copy of an iterate.  ``base`` gives one
-    value per variable: an int (any p), or an int64 numpy array of point
-    values, in which case every j_k is an array of the jets at all those
-    points; arrays need p < 2^MAX_PRIME_BITS, so that products of residues
-    stay exact.
+    once for all its primes.  ``base`` gives one value per variable: an
+    int (any p), or an int64 numpy array of point values, in which case
+    every j_k is an array of the jets at all those points; arrays need
+    p < 2^MAX_PRIME_BITS, so that products of residues stay exact.
     """
     if not iterates:
         raise ValueError("jets need the iterates x1, ..., L^nu(x1)")

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals or a prime field.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
 Polynomials live in one of three variable regimes:
 
@@ -27,18 +27,17 @@ import re
 from fractions import Fraction
 from functools import cache
 
-from .arith import PrimeField, modinv
+from .arith import modinv
 from .errors import BadPrimeError, ParseError
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
+# coefficients
 
 
-class RationalRing:
-    """Exact rational coefficients (fractions.Fraction)."""
+class _Rationals:
+    """QQ, the only coefficient domain: every coefficient is a fractions.Fraction."""
 
-    name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -48,37 +47,11 @@ class RationalRing:
             return c
         return Fraction(c)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def div(a, b):
-        return Fraction(a, 1) / b
-
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
 
-    def __hash__(self):
-        return hash("RationalRing")
-
-
-QQ = RationalRing()
-
-
-# coefficients in a prime field, stored as plain ints in [0, p)
-GF = PrimeField
+QQ = _Rationals()
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +155,12 @@ class VarSpace:
 class SparsePoly:
     """Immutable sparse polynomial: exponent tuple -> nonzero coefficient."""
 
-    __slots__ = ("space", "ring", "terms", "_sorted")
+    __slots__ = ("space", "terms", "_sorted")
 
-    def __init__(self, space, ring, terms, _clean=False):
+    def __init__(self, space, qq, terms, _clean=False):
+        if qq is not QQ:
+            raise ValueError(f"QQ is the only coefficient domain, got {qq!r}")
         self.space = space
-        self.ring = ring
         if _clean:
             self.terms = terms
         else:
@@ -200,42 +174,35 @@ class SparsePoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = ring.coerce(c)
-                if c != ring.zero:
-                    prev = clean.get(exps)
-                    if prev is None:
-                        clean[exps] = c
+                c = QQ.coerce(c)
+                if c:
+                    s = clean.get(exps, 0) + c
+                    if s:
+                        clean[exps] = s
                     else:
-                        s = ring.add(prev, c)
-                        if s == ring.zero:
-                            del clean[exps]
-                        else:
-                            clean[exps] = s
+                        del clean[exps]
             self.terms = clean
         self._sorted = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(space, ring=QQ):
-        return SparsePoly(space, ring, {}, _clean=True)
+    def zero(space, qq=QQ):
+        return SparsePoly(space, qq, {}, _clean=True)
 
     @staticmethod
-    def constant(space, c, ring=QQ):
-        c = ring.coerce(c)
-        if c == ring.zero:
-            return SparsePoly.zero(space, ring)
-        return SparsePoly(space, ring, {(0,) * space.nvars: c}, _clean=True)
+    def constant(space, c):
+        return SparsePoly(space, QQ, {(0,) * space.nvars: c})
 
     @staticmethod
-    def variable(space, index, ring=QQ):
+    def variable(space, index):
         exps = [0] * space.nvars
         exps[index] = 1
-        return SparsePoly(space, ring, {tuple(exps): ring.one}, _clean=True)
+        return SparsePoly(space, QQ, {tuple(exps): QQ.one}, _clean=True)
 
     @staticmethod
-    def monomial(space, exps, c, ring=QQ):
-        return SparsePoly(space, ring, {tuple(exps): c})
+    def monomial(space, exps, c):
+        return SparsePoly(space, QQ, {tuple(exps): c})
 
     # -- basic views ---------------------------------------------------------
 
@@ -271,7 +238,7 @@ class SparsePoly:
         return self.leading_term()[1]
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
+        return self.terms.get(tuple(exps), QQ.zero)
 
     def support(self):
         return set(self.terms)
@@ -285,47 +252,40 @@ class SparsePoly:
                     maxe[i] = e
         return tuple(maxe)
 
-    # -- ring operations -----------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
     def _check_compatible(self, other):
         if self.space != other.space:
             raise ValueError(
                 f"variable-set mismatch: {self.space.names} vs {other.space.names}"
             )
-        if self.ring != other.ring:
-            raise ValueError(f"coefficient-ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.space, other, self.ring)
+            other = SparsePoly.constant(self.space, other)
         self._check_compatible(other)
-        ring = self.ring
-        zero = ring.zero
         out = dict(self.terms)
         for exps, c in other.terms.items():
             prev = out.get(exps)
             if prev is None:
                 out[exps] = c
             else:
-                s = ring.add(prev, c)
-                if s == zero:
-                    del out[exps]
-                else:
+                s = prev + c
+                if s:
                     out[exps] = s
-        return SparsePoly(self.space, ring, out, _clean=True)
+                else:
+                    del out[exps]
+        return SparsePoly(self.space, QQ, out, _clean=True)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        neg = self.ring.neg
-        return SparsePoly(
-            self.space, self.ring, {e: neg(c) for e, c in self.terms.items()}, _clean=True
-        )
+        return SparsePoly(self.space, QQ, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.space, other, self.ring)
+            other = SparsePoly.constant(self.space, other)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -335,9 +295,6 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return self.scale(other)
         self._check_compatible(other)
-        ring = self.ring
-        zero = ring.zero
-        mul, add = ring.mul, ring.add
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = (self.terms, other.terms)
         if len(a) > len(b):
@@ -346,35 +303,30 @@ class SparsePoly:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                prod = mul(ca, cb)
                 prev = out.get(exps)
                 if prev is None:
-                    if prod != zero:
-                        out[exps] = prod
+                    out[exps] = ca * cb
                 else:
-                    s = add(prev, prod)
-                    if s == zero:
-                        del out[exps]
-                    else:
+                    s = prev + ca * cb
+                    if s:
                         out[exps] = s
-        return SparsePoly(self.space, self.ring, out, _clean=True)
+                    else:
+                        del out[exps]
+        return SparsePoly(self.space, QQ, out, _clean=True)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
-        if c == self.ring.zero:
-            return SparsePoly.zero(self.space, self.ring)
-        mul = self.ring.mul
-        return SparsePoly(
-            self.space, self.ring, {e: mul(k, c) for e, k in self.terms.items()}, _clean=True
-        )
+        c = QQ.coerce(c)
+        if not c:
+            return SparsePoly.zero(self.space)
+        return SparsePoly(self.space, QQ, {e: k * c for e, k in self.terms.items()}, _clean=True)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(self.space, self.ring.one, self.ring)
+        result = SparsePoly.constant(self.space, QQ.one)
         base = self
         while e:
             if e & 1:
@@ -390,12 +342,8 @@ class SparsePoly:
             if not self.terms and other == 0:
                 return True
             const = self.terms.get((0,) * self.space.nvars)
-            return len(self.terms) == 1 and const == self.ring.coerce(other)
-        return (
-            self.space == other.space
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+            return len(self.terms) == 1 and const == QQ.coerce(other)
+        return self.space == other.space and self.terms == other.terms
 
     # -- calculus ------------------------------------------------------------
 
@@ -403,67 +351,44 @@ class SparsePoly:
         """Formal partial derivative with respect to the index-th variable."""
         if not 0 <= index < self.space.nvars:
             raise ValueError(f"variable index {index} out of range")
-        ring = self.ring
         out = {}
         for exps, c in self.terms.items():
             e = exps[index]
-            if e == 0:
-                continue
-            d = ring.mul(c, ring.coerce(e))
-            if d == ring.zero:
-                continue
-            lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            prev = out.get(lowered)
-            out[lowered] = d if prev is None else ring.add(prev, d)
-        out = {e: c for e, c in out.items() if c != ring.zero}
-        return SparsePoly(self.space, ring, out, _clean=True)
+            if e:
+                out[exps[:index] + (e - 1,) + exps[index + 1 :]] = c * e
+        return SparsePoly(self.space, QQ, out, _clean=True)
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, point):
-        """Value of the polynomial at a point (one ring element per variable).
+    def evaluate(self, point) -> Fraction:
+        """Value of the polynomial at a point (one rational per variable).
 
         Builds a per-variable power table sized by the largest exponent, so
         evaluating a polynomial with many terms costs one multiplication per
-        (term, variable) rather than repeated exponentiations.  Over GF(p) the
-        coordinates may be int64 arrays holding a batch of points, and the
-        value is then an array, exact while p^2 fits in int64.
+        (term, variable) rather than repeated exponentiations.  Values mod
+        a prime come from IntegerForm.
         """
         if len(point) != self.space.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {self.space.nvars}"
             )
-        ring = self.ring
-        if not self.terms:
-            return ring.zero
-        maxe = self.max_exponents()
         tables = []
-        for x, m in zip(point, maxe):
-            x = ring.coerce(x)
-            row = [x * 0 + ring.one]
+        for x, m in zip(point, self.max_exponents()):
+            x = QQ.coerce(x)
+            row = [QQ.one]
             for _ in range(m):
-                row.append(ring.mul(row[-1], x))
+                row.append(row[-1] * x)
             tables.append(row)
-        total = ring.zero
-        mul, add = ring.mul, ring.add
+        total = QQ.zero
         for exps, c in self.terms.items():
             v = c
             for i, e in enumerate(exps):
                 if e:
-                    v = mul(v, tables[i][e])
-            total = add(total, v)
+                    v = v * tables[i][e]
+            total = total + v
         return total
 
-    # -- ring / space conversions ---------------------------------------------
-
-    def map_to(self, ring) -> "SparsePoly":
-        """Re-coerce all coefficients into another ring (e.g. QQ -> GF(p))."""
-        out = {}
-        for exps, c in self.terms.items():
-            v = ring.coerce(c)
-            if v != ring.zero:
-                out[exps] = v
-        return SparsePoly(self.space, ring, out, _clean=True)
+    # -- space conversions -----------------------------------------------------
 
     def embed(self, target: VarSpace) -> "SparsePoly":
         """Reinterpret the polynomial in a larger variable space.
@@ -484,7 +409,7 @@ class SparsePoly:
             for src, dst in enumerate(index_map):
                 new[dst] = exps[src]
             out[tuple(new)] = c
-        return SparsePoly(target, self.ring, out, _clean=True)
+        return SparsePoly(target, QQ, out, _clean=True)
 
     # -- normalization ---------------------------------------------------------
 
@@ -496,8 +421,6 @@ class SparsePoly:
         numerators, and flip the sign so the graded-lex leading coefficient
         is positive.  Idempotent.
         """
-        if self.ring != QQ:
-            raise ValueError("canonical normalization is defined over the rationals")
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
         lcm_den = 1
@@ -522,7 +445,6 @@ class SparsePoly:
         self._check_compatible(g)
         if g.is_zero:
             raise ValueError("division by the zero polynomial")
-        ring = self.ring
         lm_g, lc_g = g.leading_term()
         q = {}
         r = self
@@ -531,11 +453,10 @@ class SparsePoly:
             diff = tuple(a - b for a, b in zip(lm_r, lm_g))
             if any(d < 0 for d in diff):
                 return None
-            c = ring.div(lc_r, lc_g)
-            q[diff] = ring.add(q.get(diff, ring.zero), c)
-            r = r - SparsePoly(self.space, ring, {diff: c}, _clean=True) * g
-        q = {e: c for e, c in q.items() if c != ring.zero}
-        return SparsePoly(self.space, ring, q, _clean=True)
+            c = lc_r / lc_g
+            q[diff] = c  # the leading monomial of r falls at each step
+            r = r - SparsePoly(self.space, QQ, {diff: c}, _clean=True) * g
+        return SparsePoly(self.space, QQ, q, _clean=True)
 
     # -- text -----------------------------------------------------------------
 
@@ -556,12 +477,8 @@ class SparsePoly:
 
         for exps, c in self.sorted_terms(reverse=True):
             mono = "*".join(varpow(i, e) for i, e in enumerate(exps) if e)
-            if isinstance(c, Fraction):
-                neg = c < 0
-                mag = -c if neg else c
-            else:  # prime-field coefficient: always printed as stored
-                neg = False
-                mag = c
+            neg = c < 0
+            mag = -c if neg else c
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -585,10 +502,11 @@ class SparsePoly:
 class IntegerForm:
     """A polynomial as integer numerators over one common denominator.
 
-    Built once from a polynomial over QQ (or GF(p), whose coefficients
-    read as integers), it evaluates modulo any prime without a GF(p) copy
-    of the polynomial: one ``%`` per numerator and one inverse of the
-    denominator.  The caller keeps it; nothing caches it on the polynomial.
+    Built once from a polynomial over QQ, it evaluates modulo any prime
+    that does not divide the denominator: one ``%`` per numerator and one
+    inverse of the denominator.  It is the package's only route from a
+    polynomial to its values mod p.  The caller keeps it; nothing caches
+    it on the polynomial.
     """
 
     __slots__ = ("nvars", "denominator", "degrees", "terms")
@@ -773,7 +691,7 @@ class _ExprParser:
                 if den == 0:
                     self.error("zero denominator", den_tok)
                 value /= den
-            poly = SparsePoly.constant(self.space, value, QQ)
+            poly = SparsePoly.constant(self.space, value)
             return self.maybe_power(poly)
         if tok.kind == "var":
             return self.maybe_power(self.variable(tok))
@@ -824,12 +742,12 @@ class _ExprParser:
                 slot = space.deriv_index(order)
             except ValueError:
                 self.error(f"derivative order {order} exceeds this space", tok)
-            return SparsePoly.variable(space, slot, QQ)
+            return SparsePoly.variable(space, slot)
         try:
             slot = space.state_index(index)
         except ValueError:
             self.error(f"unknown variable {tok.text!r}", tok)
-        return SparsePoly.variable(space, slot, QQ)
+        return SparsePoly.variable(space, slot)
 
 
 def parse_polynomial(text: str, space: VarSpace) -> SparsePoly:

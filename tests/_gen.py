@@ -1,6 +1,8 @@
-"""Random polynomial systems shared by the interp/verify/acceptance tests."""
+"""Random polynomial systems shared by the interp/verify/acceptance tests,
+and the residue of a rational mod p that the tests use as an oracle."""
 
 import itertools
+from fractions import Fraction
 
 from odelim.ode import OdeSystem
 from odelim.poly import QQ, SparsePoly, VarSpace
@@ -56,3 +58,9 @@ def sparse_system(n, d, D, rng, terms=4, low=-9, high=9):
                     poly = poly + SparsePoly.monomial(space, exps, QQ.coerce(c))
         gs.append(poly)
     return OdeSystem(gs)
+
+
+def residue(q, p):
+    """q mod p for an int or Fraction q whose denominator p does not divide."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, p) % p

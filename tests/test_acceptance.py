@@ -10,11 +10,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from _gen import dense_system, sparse_system
-from odelim.arith import CrtAccumulator, PrimeField, crt_absorb, is_prime, rational_reconstruct
-from odelim.interp import SampleConfig, assemble, eliminate, minimal_element, nullspace, sample_points
+import numpy as np
+
+from _gen import dense_system, residue, sparse_system
+from odelim import interp, linalg
+from odelim.arith import CrtAccumulator, crt_absorb, fork_rng, is_prime, rational_reconstruct
+from odelim.interp import SampleConfig, eliminate, minimal_element
 from odelim.ode import jet, lie_iterates, lie_star, parse_system, reduction
-from odelim.poly import GF, QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
+from odelim.poly import QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, count_lattice, enumerate_lattice, hull_lattice_count
 from odelim.verify import check_exact
 
@@ -126,7 +129,6 @@ def test_property_jet_reduction_equivalence():
     with criterion("jet-reduction-oracle", 60.0):
         rng = random.Random(201)
         p = 2000003
-        field = GF(p)
         for _ in range(20):
             n = rng.randint(1, 3)
             sys_ = sparse_system(
@@ -138,8 +140,8 @@ def test_property_jet_reduction_equivalence():
             space = VarSpace.deriv(nu)
             exps = tuple(rng.randrange(3) for _ in range(nu + 1))
             mono = SparsePoly.monomial(space, exps, QQ.one)
-            lhs = mono.map_to(field).evaluate(values)
-            rhs = reduction(sys_, mono).map_to(field).evaluate(base)
+            lhs = residue(mono.evaluate(values), p)
+            rhs = residue(reduction(sys_, mono).evaluate(base), p)
             assert lhs == rhs
 
 
@@ -173,7 +175,7 @@ def test_property_crt_reconstruction_round_trip():
             q = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
             acc = CrtAccumulator.empty(1)
             for p in (p1, p2):
-                acc = crt_absorb(acc, [PrimeField(p).reduce(q)], p)
+                acc = crt_absorb(acc, [residue(q, p)], p)
             assert rational_reconstruct(acc.residues[0], acc.modulus) == q
 
 
@@ -193,16 +195,23 @@ def test_property_kernel_multiple_divisibility():
             key=space.sort_key,
         )
         S = LatticeSet(2, pts3)
-        samples = sample_points(SampleConfig(radius=400, seed=5), len(S) + 6, 2)
-        N = assemble(sys_.reduce_mod(p), S, samples)
-        vec = minimal_element(N, S)
-        field = GF(p)
-        fmin = SparsePoly(space, field, {s: c for s, c in zip(S, vec) if c})
-        basis = nullspace(N)
+        samples = interp._draw_points(fork_rng(5, "points"), len(S) + 6, 2, 400)
+        forms = [IntegerForm(h) for h in lie_iterates(sys_, S.nu + 1)]
+        N = interp._eval_matrix(forms, p, S, samples)
+        W = N.data.copy()
+        pivots, free, _ = linalg._echelon(W, p)
+        basis = [[int(v) for v in linalg._kernel_vector(W, p, pivots, f)] for f in free]
         assert basis
-        for b in basis:
-            poly = SparsePoly(space, field, {s: c for s, c in zip(S, b) if c})
-            assert poly.exact_divide(fmin) is not None
+        fmin = parse_derivative_poly("x1'' + x1")
+        assert minimal_element(N, S) == tuple(residue(fmin.coefficient(s), p) for s in S)
+        # every kernel vector is a combination of the multiples m * fmin, deg m <= 2
+        multiples = [
+            [residue((SparsePoly.monomial(space, m, QQ.one) * fmin).coefficient(s), p) for s in S]
+            for m in pts3
+            if sum(m) <= 2
+        ]
+        rank = len(linalg._echelon(np.array(multiples, dtype=np.int64), p)[0])
+        assert rank == len(linalg._echelon(np.array(multiples + basis, dtype=np.int64), p)[0])
 
 
 def test_property_seed_invariance():

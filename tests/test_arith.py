@@ -1,4 +1,4 @@
-"""Primes, prime fields, CRT accumulation and rational reconstruction."""
+"""Primes, modular inverses, CRT accumulation and rational reconstruction."""
 
 import math
 import random
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gen import residue
 from odelim import arith
 from odelim.arith import (
     CrtAccumulator,
-    PrimeField,
     crt_absorb,
     fork_rng,
     is_prime,
@@ -20,7 +20,6 @@ from odelim.arith import (
     rational_reconstruct,
     vector_reconstruct,
 )
-from odelim.errors import BadPrimeError
 
 
 def test_is_prime_small():
@@ -85,36 +84,6 @@ def test_modinv():
     for p in (5, 97, 10007):
         for a in range(1, min(p, 50)):
             assert (modinv(a, p) * a) % p == 1
-
-
-def test_prime_field_reduce_and_errors():
-    F = PrimeField(101)
-    assert F.reduce(205) == 3
-    assert F.reduce(Fraction(1, 3)) == modinv(3, 101)
-    assert F.reduce(Fraction(-2, 5)) == (-2 * modinv(5, 101)) % 101
-    with pytest.raises(BadPrimeError):
-        F.reduce(Fraction(1, 101))
-
-
-def test_prime_field_reduces_an_integral_fraction_without_an_inverse(monkeypatch):
-    F = PrimeField(101)
-    monkeypatch.setattr(arith, "modinv", lambda *args: pytest.fail("modinv called"))
-    assert F.reduce(Fraction(205)) == 3
-    assert F.reduce(Fraction(-205)) == 98
-    assert F.reduce(Fraction(0)) == 0
-    with pytest.raises(BadPrimeError):
-        F.reduce(Fraction(3, 202))
-
-
-def test_prime_field_axioms():
-    rng = random.Random(4)
-    for p in (97, (1 << 31) - 1):
-        F = PrimeField(p)
-        for _ in range(200):
-            x, y, z = (rng.randrange(1, p) for _ in range(3))
-            assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
-            assert F.mul(x, F.reduce(Fraction(1, x))) == 1
-            assert F.add(x, F.neg(x)) == 0
 
 
 def test_crt_base_case():
@@ -189,7 +158,7 @@ def test_crt_reconstruction_round_trip(num, den):
     assert is_prime(p1) and is_prime(p2)
     acc = CrtAccumulator.empty(1)
     for p in (p1, p2):
-        acc = crt_absorb(acc, [PrimeField(p).reduce(q)], p)
+        acc = crt_absorb(acc, [residue(q, p)], p)
     assert rational_reconstruct(acc.residues[0], acc.modulus) == q
 
 

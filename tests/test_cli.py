@@ -286,3 +286,20 @@ def test_model_print_parse_round_trip():
         with open(os.path.join(MODELS, name)) as fh:
             sys_ = parse_system(fh.read())
         assert parse_system(sys_.render()).g == sys_.g
+
+
+# --- public names ------------------------------------------------------------
+
+
+def test_public_names_resolve():
+    import odelim
+    from odelim import arith, poly
+
+    assert [name for name in odelim.__all__ if not hasattr(odelim, name)] == []
+    assert len(set(odelim.__all__)) == len(odelim.__all__)
+    namespace = {}
+    exec("from odelim import *", namespace)
+    assert set(odelim.__all__) <= set(namespace)
+    # QQ is the only coefficient domain: no prime-field polynomials
+    for module, name in ((odelim, "GF"), (odelim, "PrimeField"), (poly, "GF"), (arith, "PrimeField")):
+        assert name not in getattr(module, "__all__", ()) and not hasattr(module, name)

@@ -8,23 +8,22 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from _gen import dense_system, sparse_system
+from _gen import dense_system, residue, sparse_system
 from odelim import interp, linalg
-from odelim.arith import is_prime
+from odelim.arith import fork_rng, is_prime
 from odelim.errors import BadPrimeError, ComputationError
 from odelim.interp import (
+    EvalMatrix,
     SampleConfig,
-    assemble,
     eliminate,
     eliminate_mod_p,
     minimal_element,
-    nullspace,
-    sample_points,
 )
 from odelim.ode import lie_derivative, lie_iterates, parse_system, reduction
-from odelim.poly import GF, QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
+from odelim.poly import QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
 from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice
 from odelim.verify import certified_eliminate
 
@@ -39,25 +38,42 @@ P23_ABOVE = 8388617  # the smallest prime above 2^23
 D60 = math.prod([q for q in range(65535, 60000, -2) if is_prime(q)][:60])
 
 
+def points(seed, count, n, radius=SampleConfig.radius):
+    """``count`` distinct points of [-radius, radius]^n from the "points" fork of the seed."""
+    return interp._draw_points(fork_rng(seed, "points"), count, n, radius)
+
+
+def eval_matrix(sys_, p, S, pts):
+    """The evaluation matrix of sys_ mod p on the monomials S at pts."""
+    return interp._eval_matrix([IntegerForm(h) for h in lie_iterates(sys_, S.nu + 1)], p, S, pts)
+
+
+def vector(f, S, p):
+    """The coefficients of f on S, mod p."""
+    return tuple(residue(f.coefficient(s), p) for s in S)
+
+
+def rank(rows, p):
+    return len(linalg._echelon(np.array(rows, dtype=np.int64), p)[0])
+
+
 # --- sampling -------------------------------------------------------------
 
 
 def test_sample_points_range_and_determinism():
-    cfg = SampleConfig(radius=1, seed=5)
-    pts = sample_points(cfg, 7, 2)
+    pts = points(5, 7, 2, radius=1)
     assert len(pts) == 7
     assert len(set(pts)) == 7
     for p in pts:
         assert all(-1 <= c <= 1 for c in p)
-    again = sample_points(SampleConfig(radius=1, seed=5), 7, 2)
+    again = points(5, 7, 2, radius=1)
     assert pts == again
-    other = sample_points(SampleConfig(radius=1, seed=6), 7, 2)
+    other = points(6, 7, 2, radius=1)
     assert pts != other
 
 
 def test_sample_points_mean():
-    cfg = SampleConfig(radius=500, seed=7)
-    pts = sample_points(cfg, 50000, 2)
+    pts = points(7, 50000, 2, radius=500)
     coords = [c for p in pts for c in p]
     n = len(coords)
     mean = sum(coords) / n
@@ -71,8 +87,8 @@ def test_sample_points_mean():
 
 def test_assemble_constant_column():
     S = LatticeSet(2, [(0, 0, 0)])
-    pts = sample_points(SampleConfig(radius=100, seed=1), 3, 2)
-    N = assemble(HARMONIC.reduce_mod(P), S, pts)
+    pts = points(1, 3, 2, radius=100)
+    N = eval_matrix(HARMONIC, P, S, pts)
     assert N.rows == 3 and N.cols == 1
     assert all(N.data[j][0] == 1 for j in range(3))
 
@@ -80,8 +96,8 @@ def test_assemble_constant_column():
 def test_assemble_harmonic_negated_columns():
     # jets are (a, b, -a): the x1 column is the negative of the x1'' column
     S = LatticeSet(2, [(1, 0, 0), (0, 0, 1)])
-    pts = sample_points(SampleConfig(radius=100, seed=2), 5, 2)
-    N = assemble(HARMONIC.reduce_mod(P), S, pts)
+    pts = points(2, 5, 2, radius=100)
+    N = eval_matrix(HARMONIC, P, S, pts)
     for j in range(5):
         assert (N.data[j][0] + N.data[j][1]) % P == 0
 
@@ -105,56 +121,24 @@ def test_assemble_matches_symbolic_reduction():
                     key=space.sort_key,
                 ),
             )
-            pts = sample_points(SampleConfig(radius=50, seed=rng.randrange(99)), len(S), n)
-            N = assemble(sys_.reduce_mod(p), S, pts)
-            field = GF(p)
+            pts = points(rng.randrange(99), len(S), n, radius=50)
+            N = eval_matrix(sys_, p, S, pts)
             for i, s in enumerate(S):
-                mono = SparsePoly.monomial(space, s, QQ.one)
-                h = reduction(sys_, mono).map_to(field)
+                h = reduction(sys_, SparsePoly.monomial(space, s, QQ.one))
                 for j, pt in enumerate(pts):
-                    assert N.data[j][i] == h.evaluate([c % p for c in pt])
+                    assert N.data[j][i] == residue(h.evaluate(pt), p)
     # the smallest prime above 2^23 is refused
     S = LatticeSet(2, [(0, 0, 0)])
     with pytest.raises(ValueError, match="2\\^23"):
-        assemble(HARMONIC.reduce_mod(P23_ABOVE), S, [(1, 2)])
+        eval_matrix(HARMONIC, P23_ABOVE, S, [(1, 2)])
 
 
 # --- kernels --------------------------------------------------------------
 
 
-class FakeMatrix:
-    def __init__(self, data, p):
-        import numpy as np
-
-        self.data = np.array(data, dtype=np.int64)
-        self.p = p
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-
-def test_nullspace_identity_empty():
-    assert nullspace(FakeMatrix([[1, 0], [0, 1]], 97)) == []
-
-
-def test_nullspace_rank_one():
-    assert nullspace(FakeMatrix([[1, 1], [1, 1]], 97)) == [(1, 96)]
-
-
-def test_nullspace_residuals():
-    rng = random.Random(32)
-    p = 10007
-    for _ in range(20):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        for vec in nullspace(FakeMatrix(data, p)):
-            for row in data:
-                assert sum(r * v for r, v in zip(row, vec)) % p == 0
-
-
 def test_minimal_element_harmonic():
     S = enumerate_lattice(bound_inequalities(1, 1, 2))
-    pts = sample_points(SampleConfig(radius=500, seed=3), len(S), 2)
-    N = assemble(HARMONIC.reduce_mod(P), S, pts)
+    N = eval_matrix(HARMONIC, P, S, points(3, len(S), 2, radius=500))
     vec = minimal_element(N, S)
     assert vec is not None
     poly = {s: c for s, c in zip(S, vec) if c}
@@ -163,8 +147,7 @@ def test_minimal_element_harmonic():
 
 def test_minimal_element_squared_velocity():
     S = enumerate_lattice(bound_inequalities(2, 1, 2))
-    pts = sample_points(SampleConfig(radius=500, seed=4), len(S), 2)
-    N = assemble(SQUARED.reduce_mod(P), S, pts)
+    N = eval_matrix(SQUARED, P, S, points(4, len(S), 2, radius=500))
     vec = minimal_element(N, S)
     terms = {s: c for s, c in zip(S, vec) if c}
     # x1^2*x1' is the graded-lex leading monomial, pinned to 1; the other
@@ -174,16 +157,18 @@ def test_minimal_element_squared_velocity():
 
 def test_minimal_element_leaves_assembled_matrix_unchanged():
     S = enumerate_lattice(bound_inequalities(2, 1, 2))
-    pts = sample_points(SampleConfig(radius=500, seed=4), len(S) + 3, 2)
-    N = assemble(SQUARED.reduce_mod(P), S, pts)
+    pts = points(4, len(S) + 3, 2, radius=500)
+    N = eval_matrix(SQUARED, P, S, pts)
     before = N.data.copy()
-    assert not N.data.flags.writeable
-    assert minimal_element(N, S) is not None
+    # a read-only matrix is refused, neither copied nor written
+    N.data.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        minimal_element(N, S)
     assert (N.data == before).all()
     # the pipeline's own matrix is writable and eliminated in place
-    own = interp._eval_matrix([IntegerForm(h) for h in lie_iterates(SQUARED, S.nu + 1)], P, S, pts)
+    own = eval_matrix(SQUARED, P, S, pts)
     assert (own.data == before).all() and own.data.flags.writeable
-    assert minimal_element(own, S) == minimal_element(N, S)
+    assert minimal_element(own, S) == minimal_element(EvalMatrix(before.copy(), P), S)
     assert (own.data != before).any()
 
 
@@ -216,9 +201,8 @@ def test_blas_thread_count_restored_by_each_entry_point(monkeypatch):
     try:
         S = LatticeSet(1, sorted(((a, b) for a in range(17) for b in range(17 - a)), key=VarSpace.deriv(1).sort_key))
         assert len(S) > linalg._BLOCK
-        N = assemble(HARMONIC.reduce_mod(P), S, sample_points(SampleConfig(seed=5), len(S) + 3, 2))
+        N = eval_matrix(HARMONIC, P, S, points(5, len(S) + 3, 2))
         assert minimal_element(N, S) is None and get_threads() == 3
-        assert nullspace(N) == [] and get_threads() == 3
         sys_ = sparse_system(3, 2, 1, random.Random(1))
         assert eliminate(sys_, SampleConfig(seed=1)).support_size and get_threads() == 3
         monkeypatch.setattr(linalg, "_update", lambda *a: 1 / 0)
@@ -245,7 +229,7 @@ def test_eliminate_mod_p_refuses_foreign_iterates_and_denominator_primes():
 def test_kernel_vectors_are_multiples_of_minimal():
     # S large enough that the kernel holds f_min times any deg<=2 cofactor
     space = VarSpace.deriv(2)
-    points = sorted(
+    monomials = sorted(
         {
             e
             for e in (
@@ -258,17 +242,21 @@ def test_kernel_vectors_are_multiples_of_minimal():
         },
         key=space.sort_key,
     )
-    S = LatticeSet(2, points)
-    pts = sample_points(SampleConfig(radius=400, seed=5), len(S) + 6, 2)
-    N = assemble(HARMONIC.reduce_mod(P), S, pts)
-    basis = nullspace(N)
+    S = LatticeSet(2, monomials)
+    N = eval_matrix(HARMONIC, P, S, points(5, len(S) + 6, 2, radius=400))
+    # a kernel basis mod P: one back-substituted vector per free column
+    W = N.data.copy()
+    pivots, free, _ = linalg._echelon(W, P)
+    basis = [tuple(int(v) for v in linalg._kernel_vector(W, P, pivots, f)) for f in free]
     assert len(basis) == 10  # monomials of degree <= 1 + cofactor space dim
-    vec = minimal_element(N, S)
-    field = GF(P)
-    fmin = SparsePoly(space, field, {s: c for s, c in zip(S, vec) if c})
     for b in basis:
-        poly = SparsePoly(space, field, {s: c for s, c in zip(S, b) if c})
-        assert poly.exact_divide(fmin) is not None
+        assert not any(sum(int(x) * v for x, v in zip(row, b)) % P for row in N.data)
+    fmin = parse_derivative_poly("x1'' + x1")
+    assert minimal_element(N, S) == vector(fmin, S, P)
+    # the multiples m * fmin, m a monomial of degree <= 2, span the kernel mod P
+    cofactors = [m for m in monomials if sum(m) <= 2]
+    multiples = [vector(SparsePoly.monomial(space, m, QQ.one) * fmin, S, P) for m in cofactors]
+    assert rank(multiples, P) == rank(multiples + basis, P) == len(basis)
 
 
 def test_minimal_element_of_constructed_multiple():
@@ -276,20 +264,18 @@ def test_minimal_element_of_constructed_multiple():
     space = VarSpace.deriv(1)
     f = parse_derivative_poly("x1' - x1")
     x1f = parse_derivative_poly("x1*x1' - x1^2")
-    points = sorted(
+    monomials = sorted(
         {e for e in ((a, b) for a in range(3) for b in range(2)) if sum(e) <= 2},
         key=space.sort_key,
     )
-    S = LatticeSet(1, points)
+    S = LatticeSet(1, monomials)
     sys_ = parse_system("x1' = x1")
-    pts = sample_points(SampleConfig(radius=300, seed=6), len(S) + 4, 1)
-    N = assemble(sys_.reduce_mod(P), S, pts)
-    vec = minimal_element(N, S)
-    field = GF(P)
-    got = SparsePoly(space, field, {s: c for s, c in zip(S, vec) if c})
+    N = eval_matrix(sys_, P, S, points(6, len(S) + 4, 1, radius=300))
+    assert x1f == parse_derivative_poly("x1", 1) * f
+    x1f_vector = vector(x1f, S, P)
+    assert not any(sum(int(x) * v for x, v in zip(row, x1f_vector)) % P for row in N.data)
     # pivot-normalized minimal element: x1' - x1 exactly (leading coeff 1)
-    assert got == f.map_to(field)
-    assert x1f.map_to(field).exact_divide(got) is not None
+    assert minimal_element(N, S) == vector(f, S, P)
 
 
 # --- per-prime pipeline ---------------------------------------------------

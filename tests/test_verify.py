@@ -326,7 +326,7 @@ QUADRATIC_FMIN = (
 
 
 def test_check_probabilistic_records_are_pinned():
-    # the records of the GF(p)-copy implementation, to the exact bound
+    # the records of the earlier GF(p)-polynomial implementation, to the exact bound
     def model(name):
         with open(os.path.join(MODELS, name + ".ode")) as fh:
             return parse_system(fh.read())
@@ -363,15 +363,3 @@ def test_check_probabilistic_refuses_bad_arguments_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match="prime_bits"):
             check_probabilistic(HARMONIC, F, prime_bits=bits)
 
-
-def test_no_gf_p_copies_in_checks_and_the_crt_loop(monkeypatch):
-    calls = []
-    map_to = SparsePoly.map_to
-    monkeypatch.setattr(SparsePoly, "map_to", lambda *args: calls.append(1) or map_to(*args))
-    F = parse_derivative_poly("x1'' + x1")
-    sys_ = parse_system("x1' = 2/3*x2\nx2' = -3/4*x1")
-    res = eliminate(sys_, SampleConfig(seed=3))
-    assert res.f_min.render() == "2*x1'' + x1" and len(res.primes_used) >= 2
-    assert check_probabilistic(sys_, res.f_min).outcome
-    assert check_probabilistic(HARMONIC, F, trials=16).trials == 16
-    assert calls == []
