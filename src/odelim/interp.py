@@ -69,6 +69,7 @@ _PROBE_POINTS = 32       # points of a membership probe
 _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PRIME_MISSES = 64       # draws of used or excluded primes before a search in order
+_POOL_MIN_COLS = 2048    # narrowest support whose CRT-phase solves go to the pool
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,15 @@ class SampleConfig:
     at most linalg.MAX_PRIME_BITS (23) so that the echelon's float64
     products stay exact;
     max_primes caps the primes that enter the CRT; nu_override skips
-    order detection; threads is the number of per-prime solves run at once,
-    the one level of parallelism: while an elimination wider than 128
-    columns runs, numpy's OpenBLAS is pinned to one thread and restored
-    afterwards (see linalg), process-wide, so numpy calls on other threads
-    run on one BLAS thread meanwhile.
+    order detection; threads is the most per-prime solves run at once,
+    the one level of parallelism.  Only a CRT phase whose support has at
+    least interp._POOL_MIN_COLS (2048) columns runs them in a pool; a
+    narrower one solves on the calling thread whatever threads is, since
+    two threads of such short, GIL-bound solves ran slower than one.
+    While an elimination wider than 128 columns runs, numpy's OpenBLAS is
+    pinned to one thread and restored afterwards (see linalg),
+    process-wide, so numpy calls on other threads run on one BLAS thread
+    meanwhile.
     """
 
     radius: int = 1893
@@ -309,19 +314,20 @@ def _solve_on_support(forms: list, p: int, support, nu: int, config: SampleConfi
     return vec
 
 
-def _probe_membership(iterates: list, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
+def _probe_membership(forms: list, f: SparsePoly, config: SampleConfig, fresh_prime) -> bool:
     """Whether f vanishes at the jets of fresh points over a fresh prime.
 
-    f has integer coefficients with content 1: it has an image mod every
-    prime.  The probe takes _PROBE_POINTS points, or every point of the
-    sampling box when the box holds fewer.
+    ``forms`` are the IntegerForms of the Lie iterates.  f has integer
+    coefficients with content 1: it has an image mod every prime.  The
+    probe takes _PROBE_POINTS points, or every point of the sampling box
+    when the box holds fewer.
     """
     p = fresh_prime()
     rng = fork_rng(config.seed, "probe", str(p))
-    n = iterates[0].space.nvars
+    n = forms[0].nvars
     count = min(_PROBE_POINTS, (2 * config.radius + 1) ** n)
     points = np.array(_draw_points(rng, count, n, config.radius), dtype=np.int64)
-    values = jet([IntegerForm(h) for h in iterates], points.T, p)
+    values = jet(forms, points.T, p)
     return not IntegerForm(f).evaluate(values, p).any()
 
 
@@ -460,20 +466,35 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
     )
 
     # CRT phase on the shrunk support.  `pending` holds a call returning
-    # the solve of each drawn prime; up to `threads` solves run ahead in
-    # the pool, and their results are taken in the order their primes were
-    # drawn.  Before a consensus restart or a membership probe draws
-    # primes, the ones still in flight go back to the front of the draw
-    # order, so every thread count draws the same primes and ends with the
-    # same primes_used; the price is threads - 1 discarded solves per
-    # run.  With one thread each solve runs here when its turn comes: on
-    # a 2-core machine a one-worker pool made ~10 ms solves about 25 %
-    # slower (a thread handoff per prime) and raised the peak memory of
-    # 1292-column solves from 75 to 88 MB (the worker allocates from a
-    # malloc arena of its own).
-    threads = config.threads
-    pool = ThreadPoolExecutor(max_workers=threads)
-    defer = partial if threads == 1 else lambda *call: pool.submit(*call).result
+    # the solve of each drawn prime, taken in the order the primes were
+    # drawn.  On a support of at least _POOL_MIN_COLS columns up to
+    # `threads` solves run ahead in the pool; on a narrower one, and with
+    # one thread, each solve runs here when its turn comes.  A solve is
+    # mostly short numpy calls under the GIL: on 2 cores, two threads of
+    # (n+8) x n echelons did 0.61-0.83x the work of one at n = 271 and
+    # 600, about 1x at 1292 and 1.39x at 2000, and end to end a
+    # 1292-column run took 1.48 s with two threads against 1.11 s with
+    # one, a 2171-column run 15.3-15.9 s against 17.0-20.7 s.  A
+    # one-worker pool also made ~10 ms solves about 25 % slower and raised
+    # the peak memory of 1292-column solves from 75 to 88 MB (the worker
+    # allocates from a malloc arena of its own).  The gate is taken again
+    # for the support of a consensus restart.  Before a restart or a
+    # membership probe draws primes, the ones still in flight go back to
+    # the front of the draw order, so every thread count draws the same
+    # primes and ends with the same primes_used; the price is up to
+    # threads - 1 discarded solves per pooled run.  The pool is built when
+    # a support first passes the gate.
+    pool = None
+
+    def lookahead(support):
+        """(solves kept pending, how a solve is deferred) on ``support``."""
+        nonlocal pool
+        if config.threads > 1 and len(support) >= _POOL_MIN_COLS:
+            if pool is None:
+                pool = ThreadPoolExecutor(max_workers=config.threads)
+            return config.threads, lambda *call: pool.submit(*call).result
+        return 1, partial
+
     pending = []
 
     def return_pending():
@@ -482,8 +503,9 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
 
     try:
         acc, primes_used = _accumulate(entries)
+        ahead, defer = lookahead(support)
         while len(primes_used) < config.max_primes:
-            while len(pending) < threads:
+            while len(pending) < ahead:
                 q = fresh_prime()
                 pending.append((q, defer(_solve_on_support, forms, q, support, nu, config)))
             p, solve = pending.pop(0)
@@ -512,6 +534,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
                     len(support),
                 )
                 acc, primes_used = _accumulate(entries)
+                ahead, defer = lookahead(support)
                 continue
             if solved == "badlead":
                 log.debug("prime %d divides the leading coefficient, skipped", p)
@@ -531,7 +554,7 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
             return_pending()
             terms = {mono: q for mono, q in zip(support, current) if q}
             f = SparsePoly(VarSpace.deriv(nu), QQ, terms).normalize_canonical()
-            if _probe_membership(iterates, f, config, fresh_prime):
+            if _probe_membership(forms, f, config, fresh_prime):
                 log.debug(
                     "probe passed after %d primes; support size %d",
                     len(primes_used),
@@ -552,7 +575,8 @@ def _run_at_order(sys: OdeSystem, nu: int, config: SampleConfig):
         # wait for the look-ahead solves still running: left behind, they
         # overlap the caller's next elimination, which with two threads
         # raised the peak RSS of repeated certified runs by 1.7 MB (4 %)
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _available_memory() -> int | None:
@@ -571,8 +595,11 @@ def _check_memory(nu: int, size: int, threads: int) -> None:
     """Fail fast when a run at this order cannot fit in the available memory.
 
     A full-bound solve eliminates its size x size int64 evaluation matrix
-    in place, and the CRT phase holds up to ``threads`` such matrices at
-    once.  The estimate is max(2, threads) * size^2 entries of 8 bytes;
+    in place, and a CRT phase on a support of at least _POOL_MIN_COLS
+    columns holds up to ``threads`` such matrices at once (a narrower one
+    solves on the calling thread, one matrix at a time).  The support is
+    known only after the first phase, so the estimate is
+    max(2, threads) * size^2 entries of 8 bytes whatever its width;
     at one or two threads the second matrix is headroom for the echelon's
     float64 update operands (at most 128 columns wide), its copies of
     16-column leaves, and the point and power tables of assembly.  When

@@ -45,7 +45,9 @@ The recursion runs with numpy's OpenBLAS pinned to one thread
 At tiles of 128 x 128 a second BLAS thread mostly spins: the 1292-column
 solves of a dense (3,2,2) system took 2.29 s of CPU for 1.15 s of wall
 with the default 2 threads, and 1.19 s of both with one (2 cores).
-Concurrent solves come from the pool of SampleConfig.threads alone.
+Concurrent solves come from the pool of SampleConfig.threads alone, and
+only on supports of at least interp._POOL_MIN_COLS (2048) columns; a
+narrower support solves on the calling thread.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from .arith import MAX_PRIME_BITS, fork_rng, is_prime, random_prime
 from .errors import VerificationError
@@ -24,6 +25,12 @@ from .ode import OdeSystem, jet, lie_iterates, reduction
 from .poly import IntegerForm, SparsePoly
 
 CHECK_TERM_BUDGET = 500_000
+
+
+@cache
+def _prime_in(lo: int, prime_bits: int) -> bool:
+    """Whether a prime lies in [lo, 2^prime_bits); scanned once per pair."""
+    return any(is_prime(q) for q in range(lo, 1 << prime_bits))
 
 
 def check_probabilistic(
@@ -60,7 +67,7 @@ def check_probabilistic(
     if F.is_zero:
         return Verification("probabilistic", 0, Fraction(0), True)
     lo = max(nu + 1, 1 << (prime_bits - 1))
-    if not any(is_prime(q) for q in range(lo, 1 << prime_bits)):
+    if not _prime_in(lo, prime_bits):
         raise ValueError(f"no {prime_bits}-bit prime exceeds the order {nu}")
     iterates = lie_iterates(sys, nu + 1)
     forms = [IntegerForm(h) for h in iterates]

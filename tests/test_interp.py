@@ -1,5 +1,6 @@
 """The modular evaluation-interpolation pipeline."""
 
+import inspect
 import logging
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -522,11 +524,11 @@ def test_probe_at_a_prime_dividing_a_coefficient_of_f_min():
         sys_ = parse_system(fh.read())
     f = parse_derivative_poly(PINNED_FMIN["quadratic"])
     wrong = f + parse_derivative_poly("x1").embed(f.space)
-    iterates = lie_iterates(sys_, f.space.order + 1)
+    forms = [IntegerForm(h) for h in lie_iterates(sys_, f.space.order + 1)]
     for q in (3, 7):
         assert any(c.numerator % q == 0 for c in f.terms.values())
-        assert interp._probe_membership(iterates, f, SampleConfig(), lambda: q)
-        assert not interp._probe_membership(iterates, wrong, SampleConfig(), lambda: q)
+        assert interp._probe_membership(forms, f, SampleConfig(), lambda: q)
+        assert not interp._probe_membership(forms, wrong, SampleConfig(), lambda: q)
 
 
 def test_consensus_restart_primes_do_not_depend_on_threads(monkeypatch):
@@ -568,6 +570,116 @@ def test_eliminate_threads_same_result():
     b = eliminate(SQUARED, SampleConfig(seed=11, threads=3))
     assert a.f_min == b.f_min
     assert a.primes_used == b.primes_used
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        test_eliminate_pinned_runs,
+        test_threads_draw_no_prime_past_a_reconstruction,
+        test_probe_rejects_a_wrong_reconstruction,
+        test_consensus_restart_primes_do_not_depend_on_threads,
+        test_eliminate_leaves_no_solver_threads_running,
+        test_eliminate_threads_same_result,
+    ],
+    ids=lambda test: test.__name__,
+)
+def test_through_the_pool(pool_for_every_support, monkeypatch, test):
+    # the supports above are narrow, so with threads > 1 they run inline;
+    # the same tests again with every CRT-phase solve in the pool
+    test(**({"monkeypatch": monkeypatch} if "monkeypatch" in inspect.signature(test).parameters else {}))
+
+
+def spy_solves(monkeypatch):
+    """Record every shrunk solve as (prime, support width, ran on the
+    calling thread); returns that list and the primes submitted to the pool,
+    and counts each pool built as a submit of None."""
+    solves, submitted = [], []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            submitted.append(None)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[1])
+            return super().submit(fn, *args, **kwargs)
+
+    solve = interp._solve_on_support
+
+    def spy(forms, p, support, *rest):
+        solves.append((p, len(support), threading.current_thread() is threading.main_thread()))
+        return solve(forms, p, support, *rest)
+
+    monkeypatch.setattr(interp, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(interp, "_solve_on_support", spy)
+    return solves, submitted
+
+
+def test_pool_takes_the_crt_solves_of_supports_at_the_gate(monkeypatch):
+    # at threads=2 a narrow support builds no pool and submits nothing; a
+    # support at the gate sends every CRT-phase solve to one pool, with the
+    # same result
+    solves, submitted = spy_solves(monkeypatch)
+    with open(os.path.join(MODELS, "quadratic.ode")) as fh:
+        sys_ = parse_system(fh.read())
+    inline = eliminate(sys_, SampleConfig(seed=0, threads=2))
+    width = inline.support_size
+    assert width < interp._POOL_MIN_COLS
+    assert submitted == [] and solves and all(main for _, _, main in solves)
+    for gate, pooled in ((width + 1, False), (width, True)):
+        monkeypatch.setattr(interp, "_POOL_MIN_COLS", gate)
+        solves.clear()
+        res = eliminate(sys_, SampleConfig(seed=0, threads=2))
+        assert res.f_min == inline.f_min and res.primes_used == inline.primes_used
+        assert solves and {w for _, w, _ in solves} == {width}
+        if pooled:
+            # a look-ahead solve still queued when the probe passes is
+            # cancelled unstarted: up to threads - 1 submits never run
+            assert submitted.count(None) == 1
+            solved = {p for p, _, _ in solves}
+            submitted.remove(None)
+            assert solved <= set(submitted) and len(set(submitted) - solved) <= 1
+            assert not any(main for _, _, main in solves)
+        else:
+            assert submitted == [] and all(main for _, _, main in solves)
+
+
+def test_consensus_restart_takes_the_gate_again(monkeypatch):
+    # the first prime reports f_min's support less one monomial, below the
+    # gate: its shrunk solve runs inline and finds an empty kernel; the
+    # restart's consensus support, at the gate, goes to the pool
+    solves, submitted = spy_solves(monkeypatch)
+    full = interp.eliminate_mod_p
+    narrowed = []
+
+    def narrow_once(*args, **kwargs):
+        support, coeffs = full(*args, **kwargs)
+        if narrowed:
+            return support, coeffs
+        narrowed.append(len(support))
+        return support[1:], coeffs[1:]
+
+    monkeypatch.setattr(interp, "eliminate_mod_p", narrow_once)
+    with open(os.path.join(MODELS, "quadratic.ode")) as fh:
+        sys_ = parse_system(fh.read())
+    width = len(parse_derivative_poly(PINNED_FMIN["quadratic"]).terms)
+    monkeypatch.setattr(interp, "_POOL_MIN_COLS", width)
+    res = eliminate(sys_, SampleConfig(seed=0, threads=2))
+    assert res.f_min.render() == PINNED_FMIN["quadratic"] and narrowed == [width]
+    assert [(w, main) for _, w, main in solves if w < width] == [(width - 1, True)]
+    wide = {p for p, w, main in solves if w == width and not main}
+    assert submitted[0] is None and None not in submitted[1:]
+    assert wide and wide <= set(submitted[1:]) and len(set(submitted[1:]) - wide) <= 1
+    assert len(solves) == 1 + len(wide)
+
+
+def test_pool_gate_lies_between_the_measured_supports():
+    # dense systems saturate their bounds: (3,2,2) solves 1292 columns,
+    # where two threads ran slower than one, and (3,1,4) 2171, where they
+    # ran faster
+    d22, d14 = (len(enumerate_lattice(bound_inequalities(d, D, 3)).points) for d, D in ((2, 2), (1, 4)))
+    assert d22 == 1292 < interp._POOL_MIN_COLS <= d14 == 2171
 
 
 def test_concurrent_eliminations_of_one_system_share_its_iterates():

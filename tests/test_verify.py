@@ -89,6 +89,31 @@ def test_lie_iterates_built_once_per_run_whatever_the_primes_and_trials(monkeypa
     assert counts == [0, 0, 2, 0]
 
 
+def test_lie_iterates_built_once_per_run_through_the_pool(pool_for_every_support, monkeypatch):
+    # the (many, 2) run's 261-column support is narrow, so it runs inline;
+    # again with its CRT-phase solves in the pool
+    test_lie_iterates_built_once_per_run_whatever_the_primes_and_trials(monkeypatch)
+
+
+def test_check_probabilistic_scans_for_a_prime_once_per_range(monkeypatch):
+    # whether a prime exceeds the order depends only on (lo, prime_bits)
+    verify_mod._prime_in.cache_clear()
+    scanned = []
+    monkeypatch.setattr(verify_mod, "is_prime", lambda q: scanned.append(q) or is_prime(q))
+    F = parse_derivative_poly("x1'' + x1")
+    records, scans = [], []
+    for bits in (40, 40, 20, 40):
+        records.append(check_probabilistic(HARMONIC, F, prime_bits=bits))
+        scans.append(sorted(set(scanned)))
+    assert records[0] == records[1] == records[3] != records[2]
+    assert scans[0] == scans[1] and scans[2] == scans[3]
+    assert scans[0][0] == 1 << 39 and scans[2][0] == 1 << 19 and len(scanned) == len(scans[3])
+    cube = parse_system("x1' = x2\nx2' = x3\nx3' = -x2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no 2-bit prime exceeds the order 3"):
+            check_probabilistic(cube, parse_derivative_poly("x1''' + x1'"), prime_bits=2)
+
+
 def test_check_exact_accepts_the_true_relation():
     rep = check_exact(HARMONIC, parse_derivative_poly("x1'' + x1"))
     assert rep == Verification("exact", 0, Fraction(0), True)
