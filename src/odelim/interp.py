@@ -7,7 +7,12 @@ The pipeline, per prime p:
    evaluating the Lie iterates L^k(x1), built once per system and turned
    into integer forms (poly.IntegerForm) once per run, mod p at all
    points at once (ode.jet);
-3. evaluate every admissible monomial at every jet -> evaluation matrix N;
+3. evaluate every admissible monomial at every jet -> evaluation matrix N,
+   each column as its parent column (one exponent lowered by one) times
+   one jet, and only an orphan column without a parent in the support as
+   a product of powers; the plan of parents is built once per support
+   (_assembly_plan), and each run of columns is one gather per block of
+   128 points;
 4. eliminate left-to-right in graded-lex column order (odelim.linalg);
    the first pivotless column is the leading monomial of the minimal
    relation and its kernel vector is the relation itself mod p (degree
@@ -39,10 +44,11 @@ consensus).
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,7 +62,7 @@ from .arith import (
     vector_reconstruct,
 )
 from .errors import BadPrimeError, ComputationError, KernelAnomalyError
-from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector
+from .linalg import MAX_PRIME_BITS, _echelon, _kernel_vector, _reduce
 from .ode import OdeSystem, jet, lie_iterates, order_nu
 from .poly import QQ, IntegerForm, SparsePoly, VarSpace
 from .support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
@@ -70,6 +76,7 @@ _ANOMALY_PRIMES = 2      # anomalous full-bound primes before doubting the order
 _RESTART_TRIES = 8       # primes allowed while seeking a support consensus
 _PRIME_MISSES = 64       # draws of used or excluded primes before a search in order
 _POOL_MIN_COLS = 2048    # narrowest support whose CRT-phase solves go to the pool
+_POINT_BLOCK = 128       # points per row block of the assembly
 
 
 @dataclass(frozen=True)
@@ -189,29 +196,98 @@ def _draw_points(rng, count: int, n: int, radius: int):
 # matrix assembly
 
 
+@lru_cache(maxsize=16)
+def _assembly_plan(nu: int, points: tuple):
+    """How _eval_matrix builds the columns of ``points``: (orphans, runs).
+
+    The parent of a column is its monomial with one exponent k lowered by
+    one, when ``points`` holds it before the column (always, in graded
+    order); the column is then its parent column times jet k.  ``runs``
+    lists (c0, c1, k, parents): columns [c0, c1), of one degree, are the
+    columns ``parents`` (a slice when they are consecutive, else an index
+    array) times jet k.  Each run takes the k that reaches furthest from
+    its first column, so there are few runs: 59 for the 1292 columns of
+    the (3,2,2) bound.  ``orphans`` lists (column, exponents) of the
+    columns without a parent: the constant monomial and the gaps of a
+    shrunk support.  Remembered per support, as enumerate_lattice is per
+    bound, so the primes of a run build it once.
+    """
+    E = np.array(points, dtype=np.int64).reshape(len(points), nu + 1)
+    n = len(E)
+    # exponent vectors as mixed-radix integers, looked up by bisection;
+    # Python ints in the rare case that they overflow int64
+    radices = [r + 1 for r in E.max(axis=0, initial=0).tolist()]
+    dtype = np.int64 if math.prod(radices) < 1 << 63 else object
+    weights = np.array([math.prod(radices[:k]) for k in range(nu + 1)], dtype=dtype)
+    codes = E.astype(dtype) @ weights
+    order = np.argsort(codes)
+    ordered = codes[order]
+    # column i, exponent k: the parent column, and whether it is in points
+    lower = codes[:, None] - weights
+    at = np.minimum(np.searchsorted(ordered, lower), n - 1)
+    parent = order[at]
+    has = (E > 0) & (ordered[at] == lower) & (parent < np.arange(n)[:, None])
+    # a run by k goes on to the next column when that has a parent by k
+    # too and the same degree; reach[i][k] is the end of the run from i
+    degrees = E.sum(axis=1)
+    goes_on = np.zeros_like(has)
+    goes_on[:-1] = has[:-1] & has[1:] & (degrees[1:] == degrees[:-1])[:, None]
+    stop = np.where(goes_on, n, np.arange(n)[:, None])
+    reach = np.where(has, np.minimum.accumulate(stop[::-1], axis=0)[::-1] + 1, 0)
+    ends, best = reach.max(axis=1), reach.argmax(axis=1)
+    orphans, runs = [], []
+    col = 0
+    while col < n:
+        end = int(ends[col])
+        if end == 0:
+            orphans.append((col, points[col]))
+            col += 1
+            continue
+        k = int(best[col])
+        cols = parent[col:end, k]
+        if cols[-1] - cols[0] == end - col - 1:
+            runs.append((col, end, k, slice(int(cols[0]), int(cols[-1]) + 1)))
+        else:
+            runs.append((col, end, k, cols.copy()))
+        col = end
+    return orphans, runs
+
+
 def _eval_matrix(forms: list, p: int, S: LatticeSet, points) -> EvalMatrix:
-    """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point)."""
+    """Evaluation matrix N[j][i] = (i-th monomial) at (jet of j-th point).
+
+    The columns follow _assembly_plan(S): an orphan column is a product
+    of powers of the jets, and each run of columns is one gather of its
+    parent columns times one jet, reduced mod p.  N is built in place,
+    _POINT_BLOCK rows at a time, so that no temporary is wider than one
+    run or taller than 128 points.
+    """
     pts = np.array(points, dtype=np.int64)
     m = pts.shape[0]
-    jets = jet(forms, pts.T, p)
-    maxe = [0] * (S.nu + 1)
-    for e in S.points:
-        for k, ek in enumerate(e):
-            maxe[k] = max(maxe[k], ek)
-    one = np.ones(m, dtype=np.int64)
-    pow_tables = []
-    for k in range(S.nu + 1):
-        row = [one]
-        for _ in range(maxe[k]):
-            row.append(row[-1] * jets[k] % p)
-        pow_tables.append(row)
+    jets = np.array(jet(forms, pts.T, p))
+    orphans, runs = _assembly_plan(S.nu, tuple(S.points))
+    top = [max((e[k] for _, e in orphans), default=0) for k in range(S.nu + 1)]
     N = np.empty((m, len(S.points)), dtype=np.int64)
-    for col, e in enumerate(S.points):
-        acc = None
-        for k, ek in enumerate(e):
-            if ek:
-                acc = pow_tables[k][ek] if acc is None else acc * pow_tables[k][ek] % p
-        N[:, col] = one if acc is None else acc
+    for r0 in range(0, m, _POINT_BLOCK):
+        block = N[r0 : r0 + _POINT_BLOCK]
+        block_jets = jets[:, r0 : r0 + _POINT_BLOCK]
+        powers = []
+        for k in range(S.nu + 1):
+            row = [None, block_jets[k]]
+            for _ in range(1, top[k]):
+                row.append(row[-1] * block_jets[k] % p)
+            powers.append(row)
+        for col, e in orphans:
+            acc = None
+            for k, ek in enumerate(e):
+                if ek:
+                    acc = powers[k][ek] if acc is None else acc * powers[k][ek] % p
+            block[:, col] = 1 if acc is None else acc
+        columns = block_jets[:, :, None]
+        for c0, c1, k, parents in runs:
+            out = block[:, c0:c1]
+            np.multiply(block[:, parents], columns[k], out=out)
+            _reduce(out, p)
     return EvalMatrix(N, p)
 
 
@@ -595,22 +671,23 @@ def _check_memory(nu: int, size: int, threads: int) -> None:
     """Fail fast when a run at this order cannot fit in the available memory.
 
     A full-bound solve eliminates its size x size int64 evaluation matrix
-    in place, and a CRT phase on a support of at least _POOL_MIN_COLS
-    columns holds up to ``threads`` such matrices at once (a narrower one
-    solves on the calling thread, one matrix at a time).  The support is
-    known only after the first phase, so the estimate is
-    max(2, threads) * size^2 entries of 8 bytes whatever its width;
-    at one or two threads the second matrix is headroom for the echelon's
+    in place.  A CRT phase on a support of at least _POOL_MIN_COLS columns
+    holds up to ``threads`` such matrices at once; a narrower one solves
+    on the calling thread, one matrix at a time.  The support is known
+    only after the first phase, and it is never wider than the bound, so
+    the estimate is max(2, threads) * size^2 entries of 8 bytes for a
+    bound of at least _POOL_MIN_COLS columns and 2 * size^2 for a
+    narrower one.  The second matrix is headroom for the echelon's
     float64 update operands (at most 128 columns wide), its copies of
-    16-column leaves, and the point and power tables of assembly.  When
-    that exceeds MemAvailable the run raises ComputationError before
+    16-column leaves, and the assembly's temporaries of 128 points.
+    When that exceeds MemAvailable the run raises ComputationError before
     drawing a single point; when the available memory cannot be read
     there is no guard.
     """
     available = _available_memory()
     if available is None:
         return
-    matrices = max(2, threads)
+    matrices = max(2, threads) if size >= _POOL_MIN_COLS else 2
     need = matrices * size * size * 8
     if need > available:
         raise ComputationError(

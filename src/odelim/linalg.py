@@ -13,9 +13,10 @@ is split in two: its left half is factored, applied to its right half,
 and the right half is factored in turn, recursively, down to leaves of
 at most 16 columns.  A leaf does one rank-1 update of its own columns
 per pivot, on a column-major copy with raw int64 entries, each reduced
-when its column is reached.  Each pivot keeps its raw value, so the
-pivots' rows and columns hold a lower triangle T; a leaf inverts its T
-by doubling (see leaf), and a block composes T^-1 from its halves,
+when its column is reached; it searches a column for its pivot only when
+the entry on the next pivot row is 0 (see leaf).  Each pivot keeps its
+raw value, so the pivots' rows and columns hold a lower triangle T; a
+leaf inverts its T by doubling, and a block composes T^-1 from its halves,
 [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with two small
 products.  Applying a factored block to the columns on its right turns
 its pivot rows into U12 = T^-1 A12 and the rows below into
@@ -34,11 +35,12 @@ updates before that, fewer than 2^10 for the at most 128,000 columns
 _echelon takes, so it stays inside int64.
 
 A matrix of at most 128 columns, one outer block, is a single rank-1
-panel on W itself and calls no BLAS.  A wider one recurses, which a
-solve alone gains from soon past one block: (n+8) x n at p < 2^23 with
-n = 96, 128, 160, 271 and 512 took 3.7, 3.5, 5.0, 13 and 32 ms recursive
-against 2.6, 3.8, 6.6, 23 and 135 ms as one panel (medians of 9, BLAS on
-one thread, 2 cores).
+panel, which the leaf factors on a copy as it does a leaf of the
+recursion, and calls no BLAS.  A wider one recurses, which a solve alone
+gains from soon past one block: (n+8) x n at p < 2^23 with n = 96, 128,
+160, 271 and 512 took 3.5, 4.9, 6.7, 10 and 33 ms recursive against 3.1,
+5.0, 8.0, 22 and 153 ms as one panel (medians of 9, BLAS on one thread,
+2 cores; n <= 128 recursed from 64-column outer blocks).
 
 The recursion runs with numpy's OpenBLAS pinned to one thread
 (_OneBlasThread), restored when the last concurrent elimination ends.
@@ -77,6 +79,19 @@ def _moddot(a, b, p: int) -> int:
     for i in range(0, len(a), block):
         total = (total + int(np.dot(a[i : i + block], b[i : i + block]))) % p
     return total
+
+
+def _reduce(a: np.ndarray, p: int) -> None:
+    """a %= p in place for an int64 array, by floor division.
+
+    numpy divides an int64 array by a scalar with a multiplication
+    (libdivide) but computes % with a hardware division per entry: on
+    1.7 million entries, // took 1.5 ms and % 6.7 ms.  The result is the
+    same for every int64 entry, negative ones included.
+    """
+    q = a // p
+    q *= p
+    a -= q
 
 
 def _echelon(W: np.ndarray, p: int, degrees=None):
@@ -170,60 +185,65 @@ class _Elimination:
         it keep the multipliers (L), so the pivots' rows and columns hold
         the lower triangle T = D + L11 for the update of the columns to
         their right; the rest of each pivot row is divided by its pivot.
-        A leaf of the recursion works on a reduced copy of its columns,
-        stored column by column, and writes it back; the single panel
-        works on W itself.  Raw entries are reduced only as their columns
-        are reached (see the module docstring).
+        A leaf, and the single panel of a matrix of at most _BLOCK
+        columns alike, works on a reduced copy of its columns, stored
+        column by column, and writes it back.  Raw entries are reduced
+        only as their columns are reached (see the module docstring).
+
+        Per pivot the leaf makes few numpy calls, since a narrow solve is
+        bound by their number and not by its flops: the pivot is the top
+        entry of the column unless that is 0, and only then does it
+        search the rows below (the first nonzero one becomes the pivot);
+        the pivot row is normalised in place; the rank-1 update
+        broadcasts on the copy, in its memory order; and the inverse of
+        each pivot is kept for the diagonal of T^-1.  Once every row holds
+        a pivot, the columns left in the leaf are pivotless.
         """
         W, p = self.W, self.p
         r0 = len(self.pivots)
-        copy = W.shape[1] > _BLOCK
-        if copy:
-            P = np.ascontiguousarray(W[r0:, c0:c1].T)
-            P %= p
-            A = P.T
-        else:
-            A = W
+        rows = W.shape[0] - r0
+        # P[j] is column c0 + j of the rows below the pivots so far
+        P = np.ascontiguousarray(W[r0:, c0:c1].T)
+        _reduce(P, p)
         rank = 0
+        invs = []
         for j in range(c1 - c0):
             c = c0 + j
             if c >= self.limit:
                 break
-            col = A[rank:, j]
+            col = P[j, rank:]
             col %= p
-            nz = col.nonzero()[0]
-            if nz.size == 0:
-                if self.degrees is not None and not self.free:
-                    degrees = self.degrees
-                    self.limit = next(
-                        (i for i in range(c + 1, len(degrees)) if degrees[i] != degrees[c]),
-                        len(degrees),
-                    )
-                self.free.append(c)
-                continue
-            r = rank + int(nz[0])
-            if r != rank:
-                A[[rank, r]] = A[[r, rank]]
-                if copy:
-                    W[[r0 + rank, r0 + r]] = W[[r0 + r, r0 + rank]]
-            inv = pow(int(A[rank, j]), p - 2, p)
-            row = A[rank, j + 1 :] % p * inv % p
-            A[rank, j + 1 :] = row
-            if nz.size > 1:
-                block = A[rank + 1 :, j + 1 :]
-                # the product in the memory order of the block
-                block -= np.outer(row, A[rank + 1 :, j]).T if copy else np.outer(A[rank + 1 :, j], row)
+            if rank == rows or not col[0]:
+                nz = col.nonzero()[0]
+                if nz.size == 0:
+                    if self.degrees is not None and not self.free:
+                        degrees = self.degrees
+                        self.limit = next(
+                            (i for i in range(c + 1, len(degrees)) if degrees[i] != degrees[c]),
+                            len(degrees),
+                        )
+                    self.free.append(c)
+                    continue
+                r = rank + int(nz[0])
+                P[:, [rank, r]] = P[:, [r, rank]]
+                W[[r0 + rank, r0 + r]] = W[[r0 + r, r0 + rank]]
+            inv = pow(int(col[0]), p - 2, p)
+            invs.append(inv)
+            row = P[j + 1 :, rank]
+            row %= p
+            row *= inv
+            row %= p
+            P[j + 1 :, rank + 1 :] -= row[:, None] * col[1:]
             rank += 1
             self.pivots.append(c)
-        if copy:
-            W[r0:, c0:c1] = A
+        W[r0:, c0:c1] = P.T
         piv = self.pivots[r0:]
         if not (invert and piv):
             return piv, None
         # T = D (I - M) with M strictly lower, and (I - M)^-1 is
         # (I + M)(I + M^2)(I + M^4)... up to M^(rank-1)
-        T = A[:rank, [c - c0 for c in piv]]
-        d_inv = np.array([pow(int(d), p - 2, p) for d in np.diagonal(T)])
+        T = P[[c - c0 for c in piv], :rank].T
+        d_inv = np.array(invs)
         M = -np.tril(T, -1) * d_inv[:, None] % p
         S = M.copy()
         S[range(rank), range(rank)] = 1
@@ -239,7 +259,9 @@ def _matmod(A, B, p):
     """A @ B mod p for int64 matrices with entries in [0, p) and an inner
     dimension of at most 128, in float64 BLAS (exact, see the module
     docstring)."""
-    return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+    product = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    _reduce(product, p)
+    return product
 
 
 def _update(W, p, r0, piv, inverse, a, b):
@@ -257,7 +279,7 @@ def _update(W, p, r0, piv, inverse, a, b):
     for s in range(a, b, _CHUNK):
         e = min(s + _CHUNK, b)
         u = W[r0:rank, s:e]
-        u %= p
+        _reduce(u, p)
         u[...] = _matmod(inverse, u, p)
         right = u.astype(np.float64)
         for i in range(rank, W.shape[0], _CHUNK):

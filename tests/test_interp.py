@@ -24,9 +24,9 @@ from odelim.interp import (
     eliminate_mod_p,
     minimal_element,
 )
-from odelim.ode import lie_derivative, lie_iterates, parse_system, reduction
+from odelim.ode import jet, lie_derivative, lie_iterates, parse_system, reduction
 from odelim.poly import QQ, IntegerForm, SparsePoly, VarSpace, parse_derivative_poly
-from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice
+from odelim.support import LatticeSet, bound_inequalities, enumerate_lattice, scalar_bound
 from odelim.verify import certified_eliminate
 
 HARMONIC = parse_system("x1' = x2\nx2' = -x1")
@@ -133,6 +133,73 @@ def test_assemble_matches_symbolic_reduction():
     S = LatticeSet(2, [(0, 0, 0)])
     with pytest.raises(ValueError, match="2\\^23"):
         eval_matrix(HARMONIC, P23_ABOVE, S, [(1, 2)])
+
+
+def reference_eval_matrix(sys_, p, S, pts):
+    """The evaluation matrix built monomial by monomial: the product over k
+    of pow(jet_k, e_k, p) at every point."""
+    forms = [IntegerForm(h) for h in lie_iterates(sys_, S.nu + 1)]
+    jets = [[int(x) for x in j] for j in jet(forms, np.array(pts, dtype=np.int64).T, p)]
+    powers = {}
+    N = np.empty((len(pts), len(S)), dtype=np.int64)
+    for i, e in enumerate(S):
+        col = np.ones(len(pts), dtype=np.int64)
+        for k, ek in enumerate(e):
+            if (k, ek) not in powers:
+                powers[k, ek] = np.array([pow(x, ek, p) for x in jets[k]], dtype=np.int64)
+            col = col * powers[k, ek] % p
+        N[:, i] = col
+    return N
+
+
+DENSE322 = dense_system(3, 2, 2, random.Random(1))
+BOUND322 = enumerate_lattice(bound_inequalities(2, 2, 3))
+
+
+@pytest.mark.parametrize("p", [P, P23])
+@pytest.mark.parametrize(
+    "sys_, S, rows",
+    [
+        # a full (3,2,2) bound on three blocks of points, the last one partial
+        (DENSE322, BOUND322, 300),
+        # every other column dropped: most columns lack a parent (orphans)
+        (DENSE322, LatticeSet(3, BOUND322.points[::2]), 200),
+        # no constant monomial
+        (DENSE322, LatticeSet(3, BOUND322.points[1:]), 130),
+        # an n = 1 scalar bound
+        (parse_system("x1' = 3*x1^4 - x1 + 2"), enumerate_lattice(scalar_bound(4)), 9),
+        # a nu = 1 system
+        (QUAD43, enumerate_lattice(bound_inequalities(2, 1, 1)), 40),
+    ],
+    ids=["bound322", "orphans", "no-constant", "scalar", "nu1"],
+)
+def test_assembly_from_parent_columns_matches_powers(p, sys_, S, rows):
+    pts = points(rows, rows, sys_.n)
+    assert np.array_equal(eval_matrix(sys_, p, S, pts).data, reference_eval_matrix(sys_, p, S, pts))
+
+
+def test_assembly_plan_past_int64_codes():
+    # radices of 2^22 + 1 for each of four exponents: the mixed-radix codes
+    # of these exponent vectors pass 2^63 and are looked up as Python ints
+    big = 1 << 22
+    points = ((0, 0, 0, 0), (big, 0, 0, 0), (0, big, 0, 0), (0, 0, big, 0), (0, 0, 0, big), (0, 0, 1, big), (1, 0, 1, big))
+    orphans, runs = interp._assembly_plan(3, points)
+    assert [col for col, _ in orphans] == [0, 1, 2, 3, 4]
+    assert runs == [(5, 6, 2, slice(4, 5)), (6, 7, 0, slice(5, 6))]
+
+
+def test_assembly_plan_is_built_once_per_support(monkeypatch):
+    supports = []
+    assemble = interp._eval_matrix
+    monkeypatch.setattr(
+        interp, "_eval_matrix", lambda forms, p, S, pts: supports.append(S.points) or assemble(forms, p, S, pts)
+    )
+    interp._assembly_plan.cache_clear()
+    res = eliminate(dense_system(3, 2, 1, random.Random(1)), SampleConfig(seed=3))
+    info = interp._assembly_plan.cache_info()
+    # the bound and the shrunk support, each built at its first prime only
+    assert len(set(supports)) == 2 and len(res.primes_used) > 2
+    assert info.misses == 2 and info.hits == len(supports) - 2
 
 
 # --- kernels --------------------------------------------------------------
@@ -402,8 +469,8 @@ def test_memory_guard_refuses_an_oversized_first_phase(monkeypatch):
     assert eliminate(HARMONIC).f_min == parse_derivative_poly("x1'' + x1")
 
 
-def test_memory_guard_counts_one_matrix_per_thread(monkeypatch):
-    # 4 monomials: 128 bytes per 4x4 int64 matrix, at least two of them
+def test_memory_guard_counts_one_matrix_per_thread(pool_for_every_support, monkeypatch):
+    # a bound at the pool gate: 128 bytes per 4x4 int64 matrix, at least two of them
     monkeypatch.setattr(interp, "_available_memory", lambda: 256)
     for threads in (1, 2):
         interp._check_memory(2, 4, threads)
@@ -411,6 +478,18 @@ def test_memory_guard_counts_one_matrix_per_thread(monkeypatch):
         interp._check_memory(2, 4, 3)
     monkeypatch.setattr(interp, "_available_memory", lambda: 384)
     interp._check_memory(2, 4, 3)
+
+
+def test_memory_guard_counts_two_matrices_below_the_pool_gate(monkeypatch):
+    # the 4-monomial harmonic bound is far below the gate: its CRT phase
+    # solves one matrix at a time whatever threads is
+    monkeypatch.setattr(interp, "_available_memory", lambda: 256)
+    interp._check_memory(2, 4, 8)
+    monkeypatch.setattr(interp, "_available_memory", lambda: 255)
+    with pytest.raises(ComputationError, match=r"\(256 bytes\) for 2 4x4"):
+        interp._check_memory(2, 4, 8)
+    monkeypatch.setattr(interp, "_available_memory", lambda: 256)
+    assert eliminate(HARMONIC, SampleConfig(threads=8)).f_min == parse_derivative_poly("x1'' + x1")
 
 
 def test_sample_config_refuses_primes_above_23_bits():

@@ -216,6 +216,46 @@ def test_fewer_rows_than_columns(small_panels, p):
     assert check(make_matrix(9, 9, cols, p), p, degrees)[1:] == ([9, 10, 11], 12)
 
 
+@pytest.fixture(params=[False, True], ids=["one-panel", "small-panels"])
+def panels(request):
+    """A matrix of at most 40 columns as one panel, or, with small_panels'
+    sizes, recursing to leaves of 2 and 3 columns."""
+    if request.param:
+        request.getfixturevalue("small_panels")
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_leaf_searches_below_a_zero_top_entry(panels, p):
+    # the entry on the next pivot row vanishes in columns 1, 5, 9, 13 and
+    # 17, so their pivots come from rows further down
+    A = make_matrix(4, 26, 24, p, zero_at=(1, 5, 9, 13, 17))
+    assert check(A, p)[:2] == (list(range(24)), [])
+    # and, after an eliminated column with a zero top entry, a column that
+    # vanishes on every row left: no pivot
+    A = make_matrix(5, 26, 24, p, dependent=[11], zero_at=(9, 17))
+    assert check(A, p)[1] == [11]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_leaf_pivotless_column_inside_with_degree_stop(panels, p):
+    # small panels factor columns 16..21 as the leaves [16, 19) and [19, 22):
+    # column 17 is free in the middle of the first, and its stratum ends at 18
+    degrees = [0] * 5 + [1] * 10 + [2] * 3 + [3] * 4
+    A = make_matrix(17, 24, 22, p, dependent=[17])
+    assert check(A, p, degrees)[1:] == ([17], 18)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_leaf_more_columns_than_rows(panels, p):
+    # the rows run out after column 8: the rest of its leaf, [8, 11) with
+    # small panels, has no row left to search
+    pivots, free, _ = check(make_matrix(9, 9, 14, p), p)
+    assert pivots == list(range(9)) and free == list(range(9, 14))
+    # and with the degree stop: the stratum of column 9 ends at 12
+    degrees = [c // 4 for c in range(14)]
+    assert check(make_matrix(10, 9, 14, p), p, degrees)[1:] == ([9, 10, 11], 12)
+
+
 def test_p23_raw_entries_in_leaf_and_panel():
     # unreduced rank-1 steps: up to 16 in a leaf of the recursion, where
     # entries next to p - 1 make each step add close to (p - 1)^2, and up
