@@ -17,7 +17,7 @@ from .errors import (
     VerificationError,
 )
 from .interp import EliminationResult, SampleConfig, Verification, eliminate
-from .ode import OdeSystem, jet, lie_derivative, lie_star, order_nu, parse_system, reduction
+from .ode import OdeSystem, jet, lie_derivative, order_nu, parse_system, reduction
 from .poly import QQ, SparsePoly, VarSpace, parse_derivative_poly, parse_state_poly
 from .support import (
     LatticeSet,
@@ -61,7 +61,6 @@ __all__ = [
     "hull_lattice_count",
     "jet",
     "lie_derivative",
-    "lie_star",
     "order_nu",
     "parse_derivative_poly",
     "parse_state_poly",

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state variable to eliminate (relabels, default 1)")
     p.add_argument("--threads", type=int, default=1,
                    help="most per-prime solves run at once (default 1); a "
-                        "support narrower than interp._POOL_MIN_COLS columns "
+                        "support narrower than 2048 columns "
                         "is solved on the calling thread whatever this is")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(func=cmd_eliminate)

@@ -1,10 +1,8 @@
 """Polynomial dynamical systems x' = g(x) and the operators acting on them.
 
-The three operators around which everything else is built:
+The two operators around which everything else is built:
 
 * the Lie derivative      L(f)  = sum_i g_i * df/dx_i,
-* the prolonged operator  L*(F) = sum_{i>=2} g_i * dF/dx_i
-                                  + sum_{k>=0} x1^(k+1) * dF/dx1^(k),
 * the reduction map       R(x1^(k)) = L^k(x1),
 
 together with Monte-Carlo detection of the minimal differential order and
@@ -170,38 +168,6 @@ def lie_iterates(sys: OdeSystem, count: int) -> list[SparsePoly]:
         if len(have) > len(sys._iterates):
             sys._iterates = have
     return list(have[:count])
-
-
-def lie_star(sys: OdeSystem, f: SparsePoly) -> SparsePoly:
-    """The prolonged operator on polynomials in x1-derivatives and x2..xn.
-
-    Each x1^(k) is pushed to x1^(k+1) by the chain rule and the remaining
-    state variables move along the flow; x1 itself is NOT rewritten in
-    terms of the right-hand sides, so the output lives one derivative
-    order higher than the input.
-    """
-    space = f.space
-    if space.kind == "state":
-        raise ValueError("f must be in the derivative or mixed regime")
-    if space.kind == "mixed" and space.n != sys.n:
-        raise ValueError(f"f mentions {space.n} state variables, system has {sys.n}")
-    order = space.order
-    if space.kind == "deriv":
-        out_space = VarSpace.deriv(order + 1)
-    else:
-        out_space = VarSpace.mixed(order + 1, sys.n)
-    F = f.embed(out_space)
-    out = SparsePoly.zero(out_space)
-    if space.kind == "mixed":
-        for i in range(2, sys.n + 1):
-            pd = F.partial_derivative(out_space.state_index(i))
-            if pd.terms:
-                out = out + sys.g[i - 1].embed(out_space) * pd
-    for k in range(order + 1):
-        pd = F.partial_derivative(out_space.deriv_index(k))
-        if pd.terms:
-            out = out + SparsePoly.variable(out_space, out_space.deriv_index(k + 1)) * pd
-    return out
 
 
 def reduction(sys: OdeSystem, f: SparsePoly, max_terms: int | None = None) -> SparsePoly:

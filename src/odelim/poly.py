@@ -1,16 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Polynomials live in one of three variable regimes:
+Polynomials live in one of two variable regimes:
 
 * ``state``   -- the phase-space variables x1 .. xn of a dynamical system;
 * ``deriv``   -- the formal derivatives x1, x1', x1'', ..., x1^(k) of the
-  first coordinate (this is where minimal differential polynomials live);
-* ``mixed``   -- the derivative block together with x2 .. xn, used while
-  prolonging relations one derivative order at a time.
+  first coordinate (this is where minimal differential polynomials live).
 
 Everything is ordered by graded lexicographic order.  Ties in total degree
 are broken by variable precedence: x1 > x2 > ... > xn in the state regime
-and x1^(k) > ... > x1' > x1 in the derivative/mixed regimes.  The order is
+and x1^(k) > ... > x1' > x1 in the derivative regime.  The order is
 the single canonical choice used for leading terms, pivot selection and
 text rendering.
 
@@ -69,7 +67,7 @@ def _deriv_name(k: int) -> str:
 class VarSpace:
     """An ordered variable set together with its graded-lex precedence.
 
-    Immutable: ``state``, ``deriv`` and ``mixed`` share one instance per argument.
+    Immutable: ``state`` and ``deriv`` share one instance per argument.
     """
 
     __slots__ = ("kind", "n", "order", "names", "_prec")
@@ -97,16 +95,6 @@ class VarSpace:
         names = tuple(_deriv_name(k) for k in range(order + 1))
         return VarSpace("deriv", 1, order, names, tuple(range(order, -1, -1)))
 
-    @staticmethod
-    @cache
-    def mixed(order: int, n: int) -> "VarSpace":
-        if order < 0 or n < 1:
-            raise ValueError("bad mixed space parameters")
-        names = tuple(_deriv_name(k) for k in range(order + 1))
-        names += tuple(f"x{i}" for i in range(2, n + 1))
-        prec = tuple(range(order, -1, -1)) + tuple(range(order + 1, order + n))
-        return VarSpace("mixed", n, order, names, prec)
-
     @property
     def nvars(self) -> int:
         return len(self.names)
@@ -120,16 +108,13 @@ class VarSpace:
         if self.kind == "state":
             if 1 <= i <= self.n:
                 return i - 1
-        elif self.kind in ("deriv", "mixed"):
-            if i == 1:
-                return 0  # x1 is the order-0 derivative slot
-            if self.kind == "mixed" and 2 <= i <= self.n:
-                return self.order + i - 1
+        elif i == 1:
+            return 0  # x1 is the order-0 derivative slot
         raise ValueError(f"no state variable x{i} in this {self.kind} space")
 
     def deriv_index(self, k: int) -> int:
         """Storage index of the k-th derivative of x1."""
-        if self.kind in ("deriv", "mixed") and 0 <= k <= self.order:
+        if self.kind == "deriv" and 0 <= k <= self.order:
             return k
         raise ValueError(f"no derivative of order {k} in this {self.kind} space")
 
@@ -388,29 +373,6 @@ class SparsePoly:
             total = total + v
         return total
 
-    # -- space conversions -----------------------------------------------------
-
-    def embed(self, target: VarSpace) -> "SparsePoly":
-        """Reinterpret the polynomial in a larger variable space.
-
-        Variables are matched by name (x1 and the order-0 derivative slot
-        share the name "x1" on purpose).
-        """
-        if target == self.space:
-            return self
-        try:
-            index_map = [target.names.index(name) for name in self.space.names]
-        except ValueError as exc:
-            raise ValueError(f"cannot embed {self.space.names} into {target.names}") from exc
-        nvars = target.nvars
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * nvars
-            for src, dst in enumerate(index_map):
-                new[dst] = exps[src]
-            out[tuple(new)] = c
-        return SparsePoly(target, QQ, out, _clean=True)
-
     # -- normalization ---------------------------------------------------------
 
     def normalize_canonical(self) -> "SparsePoly":
@@ -432,31 +394,6 @@ class SparsePoly:
         if self.leading_coefficient() < 0:
             scale = -scale
         return self.scale(scale)
-
-    # -- division ---------------------------------------------------------------
-
-    def exact_divide(self, g: "SparsePoly"):
-        """Quotient q with self = q*g, or None when g does not divide self.
-
-        Multivariate division by the single divisor g under the graded-lex
-        order; any leading term not divisible by g's leading term would end
-        up in a nonzero remainder, so the division is abandoned there.
-        """
-        self._check_compatible(g)
-        if g.is_zero:
-            raise ValueError("division by the zero polynomial")
-        lm_g, lc_g = g.leading_term()
-        q = {}
-        r = self
-        while r.terms:
-            lm_r, lc_r = r.leading_term()
-            diff = tuple(a - b for a, b in zip(lm_r, lm_g))
-            if any(d < 0 for d in diff):
-                return None
-            c = lc_r / lc_g
-            q[diff] = c  # the leading monomial of r falls at each step
-            r = r - SparsePoly(self.space, QQ, {diff: c}, _clean=True) * g
-        return SparsePoly(self.space, QQ, q, _clean=True)
 
     # -- text -----------------------------------------------------------------
 
@@ -583,8 +520,8 @@ class _ExprParser:
     """Recursive-descent parser for polynomial expressions.
 
     The grammar accepts integers, decimals, rational literals ``a/b``,
-    ``+ - * ^``, parentheses and variables.  In the derivative and mixed
-    regimes x1 may carry derivative markers: ``x1'``, ``x1''`` or
+    ``+ - * ^``, parentheses and variables.  In the derivative regime x1
+    may carry derivative markers: ``x1'``, ``x1''`` or
     ``x1^(k)``; a power applied to a derivative variable follows the
     marker, as in ``x1^(3)^2``.  In the state regime ``^`` is always an
     exponent and derivative markers are rejected.  Division is permitted

@@ -1,5 +1,6 @@
 """Random polynomial systems shared by the interp/verify/acceptance tests,
-and the residue of a rational mod p that the tests use as an oracle."""
+the residue of a rational mod p that the tests use as an oracle, and the
+prolonged operator L* behind the support bound."""
 
 import itertools
 from fractions import Fraction
@@ -64,3 +65,38 @@ def residue(q, p):
     """q mod p for an int or Fraction q whose denominator p does not divide."""
     q = Fraction(q)
     return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def prolong(sys, h, order):
+    """L*(h) = sum_{i>=2} g_i * dh/dx_i + sum_{k>=0} x1^(k+1) * dh/dx1^(k).
+
+    ``h`` maps exponent tuples over (x1, x1', ..., x1^(order), x2, ..., xn)
+    to coefficients; the result is the same kind of dict with one more
+    derivative slot (order + 1).  Each x1^(k) moves to x1^(k+1) by the chain
+    rule and x2 .. xn move along the flow; x1 itself is not rewritten by
+    g_1.  The support bound rests on the weighted degrees of its iterates.
+    """
+    out = {}
+
+    def add(e, c):
+        out[e] = out.get(e, 0) + c
+
+    for e, c in h.items():
+        e = list(e[:order + 1]) + [0] + list(e[order + 1:])
+        for k in range(order + 1):
+            if e[k]:
+                f = e.copy()
+                f[k] -= 1
+                f[k + 1] += 1
+                add(tuple(f), c * e[k])
+        for i in range(2, sys.n + 1):
+            slot = order + i  # x_i follows the order + 2 derivative slots
+            if e[slot]:
+                for a, gc in sys.g[i - 1].terms.items():
+                    f = e.copy()
+                    f[slot] -= 1
+                    f[0] += a[0]
+                    for j in range(2, sys.n + 1):
+                        f[order + j] += a[j - 1]
+                    add(tuple(f), c * e[slot] * gc)
+    return {e: c for e, c in out.items() if c}

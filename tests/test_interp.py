@@ -602,7 +602,7 @@ def test_probe_at_a_prime_dividing_a_coefficient_of_f_min():
     with open(os.path.join(MODELS, "quadratic.ode")) as fh:
         sys_ = parse_system(fh.read())
     f = parse_derivative_poly(PINNED_FMIN["quadratic"])
-    wrong = f + parse_derivative_poly("x1").embed(f.space)
+    wrong = f + parse_derivative_poly("x1", f.space.order)
     forms = [IntegerForm(h) for h in lie_iterates(sys_, f.space.order + 1)]
     for q in (3, 7):
         assert any(c.numerator % q == 0 for c in f.terms.values())

@@ -1,4 +1,4 @@
-"""Systems, the three operators, order detection and jets."""
+"""Systems, the two operators, order detection and jets."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _gen import dense_system, residue, sparse_system
+from _gen import dense_system, prolong, residue, sparse_system
 from odelim import ode
 from odelim.arith import fork_rng
 from odelim.errors import BadPrimeError, BudgetExceededError, ParseError
@@ -17,7 +17,6 @@ from odelim.ode import (
     jet,
     lie_derivative,
     lie_iterates,
-    lie_star,
     order_nu,
     parse_system,
     reduction,
@@ -27,7 +26,6 @@ from odelim.poly import (
     IntegerForm,
     SparsePoly,
     VarSpace,
-    parse_polynomial,
     parse_derivative_poly,
     parse_state_poly,
 )
@@ -132,34 +130,23 @@ def test_lie_iterates_start_with_x1():
 
 def test_lie_star_keeps_first_derivative():
     # d/dt(x1' - g1) pushes x1' to x1'' and moves x2 along the flow; the
-    # first derivative itself is NOT rewritten via g1
-    mixed1 = VarSpace.mixed(1, 2)
-    f = parse_polynomial("x1'", mixed1) - QUAD43.g[0].embed(mixed1)
-    out = lie_star(QUAD43, f)
-    expected = parse_polynomial(
-        "x1'' - x1'*(2*x1 + x2) - x2*(2*x2 + x1)", VarSpace.mixed(2, 2)
-    )
-    assert out == expected
-
-
-def test_lie_star_constant_is_zero():
-    c = SparsePoly.constant(VarSpace.mixed(1, 2), QQ.coerce(3))
-    assert lie_star(QUAD43, c).is_zero
+    # first derivative itself is NOT rewritten via g1.  Exponents run over
+    # (x1, x1', x2), then (x1, x1', x1'', x2).
+    f = {(0, 1, 0): 1, (2, 0, 0): -1, (1, 0, 1): -1, (0, 0, 2): -1, (0, 0, 0): -1}
+    # x1'' - x1'*(2*x1 + x2) - x2*(2*x2 + x1)
+    expected = {(0, 0, 1, 0): 1, (1, 1, 0, 0): -2, (0, 1, 0, 1): -1, (0, 0, 0, 2): -2, (1, 0, 0, 1): -1}
+    assert prolong(QUAD43, f, 1) == expected
 
 
 def test_lie_star_agrees_with_lie_derivative_without_x1():
     rng = random.Random(22)
     state = VarSpace.state(2)
     for _ in range(50):
-        f = _rand_state(rng, state)
         # kill the x1 dependence
-        f = SparsePoly(
-            state, QQ, {e: c for e, c in f.terms.items() if e[0] == 0}
-        )
-        mixed = VarSpace.mixed(0, 2)
-        star = lie_star(HARMONIC, f.embed(mixed))
-        plain = lie_derivative(HARMONIC, f)
-        assert star == plain.embed(star.space)
+        f = {e: c for e, c in _rand_state(rng, state).terms.items() if e[0] == 0}
+        plain = lie_derivative(HARMONIC, SparsePoly(state, QQ, f))
+        # order 0: (x1, x2) widens to (x1, x1', x2)
+        assert prolong(HARMONIC, f, 0) == {(a, 0, b): c for (a, b), c in plain.terms.items()}
 
 
 def test_lie_star_support_growth():
@@ -172,13 +159,13 @@ def test_lie_star_support_growth():
         D = rng.randint(1, 3) if n > 1 else 0
         sys_ = sparse_system(n, d, max(D, 1) if n > 1 else 1, rng)
         d, D = sys_.d, sys_.D
-        h = sys_.g[0].embed(VarSpace.mixed(0, n))
+        h = dict(sys_.g[0].terms)
         for k in range(1, 5):
             if k > 1:
-                h = lie_star(sys_, h)
-            order = h.space.order
+                h = prolong(sys_, h, k - 2)
+            order = k - 1
             Dw = max(D, 1)
-            for e, _ in h.terms.items():
+            for e in h:
                 l1 = sum((i * (Dw - 1) + 1) * e[i] for i in range(order + 1))
                 l1 += sum(e[order + 1:])
                 l2 = sum(i * e[i] for i in range(order + 1))

@@ -207,33 +207,6 @@ def hash_key(p):
     return tuple(p.sorted_terms())
 
 
-# --- exact division ------------------------------------------------------
-
-
-def test_exact_divide_examples():
-    f = parse_state_poly("x1^2 - x2^2", 2)
-    g = parse_state_poly("x1 - x2", 2)
-    assert f.exact_divide(g) == parse_state_poly("x1 + x2", 2)
-    assert parse_state_poly("x1", 2).exact_divide(parse_state_poly("x2", 2)) is None
-
-
-def test_exact_divide_zero_divisor():
-    with pytest.raises(ValueError):
-        parse_state_poly("x1", 2).exact_divide(SparsePoly.zero(S2, QQ))
-
-
-def test_exact_divide_construct_then_divide():
-    rng = random.Random(17)
-    done = 0
-    while done < 100:
-        q = rand_poly(S2, rng)
-        g = rand_poly(S2, rng)
-        if q.is_zero or g.is_zero:
-            continue
-        assert (q * g).exact_divide(g) == q
-        done += 1
-
-
 # --- parsing and rendering ----------------------------------------------
 
 
@@ -324,7 +297,6 @@ def test_round_trip_random():
 def test_var_spaces_are_shared_per_argument():
     assert VarSpace.deriv(3) is VarSpace.deriv(3)
     assert VarSpace.state(2) is VarSpace.state(2)
-    assert VarSpace.mixed(2, 3) is VarSpace.mixed(2, 3)
     assert VarSpace.deriv(3) is not VarSpace.deriv(2)
     with pytest.raises(ValueError):
         VarSpace.deriv(-1)
