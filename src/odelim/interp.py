@@ -679,7 +679,9 @@ def _check_memory(nu: int, size: int, threads: int) -> None:
     bound of at least _POOL_MIN_COLS columns and 2 * size^2 for a
     narrower one.  The second matrix is headroom for the echelon's
     float64 update operands (at most 128 columns wide), its copies of
-    16-column leaves, and the assembly's temporaries of 128 points.
+    16-column leaves, the T^-1 it keeps per outer block (128 * size
+    int32 entries at most: 0.66 MB at 1292 columns, 16.3 MB at 31,757),
+    and the assembly's temporaries of 128 points.
     When that exceeds MemAvailable the run raises ComputationError before
     drawing a single point; when the available memory cannot be read
     there is no guard.

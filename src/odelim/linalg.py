@@ -8,19 +8,30 @@ the point arrays of an evaluation matrix.
 Forward elimination follows the recursive LU of FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 2008; Jeannerod, Pernet and Storjohann,
 "Rank-profile revealing Gaussian elimination", J. Symb. Comput. 2013).
-The columns are taken in outer blocks of 128, right-looking.  A block
-is split in two: its left half is factored, applied to its right half,
-and the right half is factored in turn, recursively, down to leaves of
-at most 16 columns.  A leaf does one rank-1 update of its own columns
-per pivot, on a column-major copy with raw int64 entries, each reduced
-when its column is reached; it searches a column for its pivot only when
-the entry on the next pivot row is 0 (see leaf).  Each pivot keeps its
-raw value, so the pivots' rows and columns hold a lower triangle T; a
-leaf inverts its T by doubling, and a block composes T^-1 from its halves,
-[[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with two small
-products.  Applying a factored block to the columns on its right turns
-its pivot rows into U12 = T^-1 A12 and the rows below into
-A22 - L21 @ U12, in tiles of 128 x 128.
+The columns are taken in outer blocks of 128, left-looking: before an
+outer block is factored, every block factored so far is applied to it,
+in order, so no update reaches a column past the block being factored.
+When the degree filtration stops the elimination inside a block, the
+columns past that block are left as they came, up to row swaps; a
+right-looking order would have updated them from every earlier block
+(the same flops on a full matrix, fewer on a stopped one).  Within an
+outer block the order is recursive: the block is split in two, its left
+half is factored, applied to its right half, and the right half is
+factored in turn, down to leaves of at most 16 columns.  A leaf does one
+rank-1 update of its own columns per pivot, on a column-major copy with
+raw int64 entries, each reduced when its column is reached; it searches
+a column for its pivot only when the entry on the next pivot row is 0
+(see leaf).  Each pivot keeps its raw value, so the pivots' rows and
+columns hold a lower triangle T; a leaf inverts its T by doubling, and a
+block composes T^-1 from its halves,
+[[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]],
+with two small products.  Applying a factored block to columns on its
+right turns its pivot rows into U12 = T^-1 A12 and the rows below into
+A22 - L21 @ U12, in tiles of 128 x 128.  Later outer blocks read the
+multipliers L21 of every earlier one, so each keeps its T^-1 (as int32,
+128 x 128 at most) and its multipliers until the last block is factored;
+only then are the pivots set to 1 and the multipliers under them
+cleared.
 
 Those products run in float64 BLAS on the residues as they are.  A
 product of inner dimension k sums k terms of at most (p - 1)^2, so it is
@@ -30,9 +41,12 @@ keeps int64 entries in range.  A rank-1 step of a leaf adds less than
 2^46 to an entry, so the at most 128 steps of a panel stay below 2^54
 without an intermediate reduction.  The rows below the pivots are
 reduced only when their columns are factored.  Each update subtracts
-less than 2^53 from an entry, and an entry meets at most cols / 128 + 3
-updates before that, fewer than 2^10 for the at most 128,000 columns
-_echelon takes, so it stays inside int64.
+less than 2^53 from an entry.  An entry of outer block k meets the k
+updates of the blocks before it, all applied when block k is reached,
+and then at most 3 inside its block, one per level of the recursion
+above its leaf: at most cols / 128 + 3 updates before its leaf reduces
+it, fewer than 2^10 for the at most 128,000 columns _echelon takes, so
+it stays inside int64.
 
 A matrix of at most 128 columns, one outer block, is a single rank-1
 panel, which the leaf factors on a copy as it does a leaf of the
@@ -99,11 +113,12 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
 
     Returns (pivots, free_cols, processed).  Over the first ``processed``
     columns, pivot rows end up reduced mod p with unit pivots and zeros
-    to their left; entries at and right of ``processed`` are unspecified
-    when elimination stops early.  With ``degrees`` given (one per
-    column), elimination stops after finishing the degree stratum that
-    contains the first pivotless column, which is all the degree
-    filtration needs.
+    to their left.  With ``degrees`` given (one per column), elimination
+    stops after finishing the degree stratum that contains the first
+    pivotless column, which is all the degree filtration needs.  Then
+    the columns from ``processed`` to the end of its outer block hold
+    partly updated entries, and those past that block hold the input's
+    entries, moved only by the row swaps.
     """
     if W.shape[1] >= _MAX_COLS:
         raise ValueError(f"_echelon takes fewer than {_MAX_COLS} columns")
@@ -111,19 +126,22 @@ def _echelon(W: np.ndarray, p: int, degrees=None):
         raise ValueError(f"_echelon needs a prime below 2^{MAX_PRIME_BITS} (exact float64 products)")
     run = _Elimination(W, p, degrees)
     if W.shape[1] <= _BLOCK:
-        _unit_pivots(W, 0, run.leaf(0, W.shape[1], False)[0])
-        return run.pivots, run.free, run.limit
-    with _ONE_BLAS_THREAD:
-        c0 = 0
-        while c0 < run.limit:
-            r0 = len(run.pivots)
-            c1 = min(c0 + _BLOCK, run.limit)
-            piv, inverse = run.factor(c0, c1, c1 < run.limit)
-            c1 = min(c1, run.limit)
-            if piv and c1 < run.limit:
-                _update(W, p, r0, piv, inverse, c1, run.limit)
-            _unit_pivots(W, r0, piv)
-            c0 = c1
+        run.leaf(0, W.shape[1], False)
+    else:
+        with _ONE_BLAS_THREAD:
+            factored = []  # (first pivot row, pivot columns, T^-1) per outer block
+            c0 = 0
+            while c0 < run.limit:
+                c1 = min(c0 + _BLOCK, run.limit)
+                for r0, piv, inverse in factored:
+                    _update(W, p, r0, piv, inverse, c0, c1)
+                r0 = len(run.pivots)
+                piv, inverse = run.factor(c0, c1)
+                if piv:
+                    # int32 holds residues below 2^23 exactly, at half the bytes
+                    factored.append((r0, piv, inverse.astype(np.int32)))
+                c0 = min(c1, run.limit)
+    _unit_pivots(W, 0, run.pivots)
     return run.pivots, run.free, run.limit
 
 
@@ -144,29 +162,27 @@ class _Elimination:
         self.free = []
         self.limit = W.shape[1]
 
-    def factor(self, c0, c1, invert):
+    def factor(self, c0, c1):
         """Factor columns [c0, c1) on the rows below the pivots so far.
 
-        Returns the new pivot columns and, when ``invert``, the inverse
-        mod p of their triangle T (see leaf).  A block wider than _LEAF
-        factors its left half, applies it to its right half, factors
-        that, and composes T^-1 from the inverses of its halves:
+        Returns the new pivot columns and the inverse mod p of their
+        triangle T (see leaf), or None without a pivot.  A block wider
+        than _LEAF factors its left half, applies it to its right half,
+        factors that, and composes T^-1 from the inverses of its halves:
         [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]].
         """
         if c1 - c0 <= _LEAF:
-            return self.leaf(c0, c1, invert)
+            return self.leaf(c0, c1, True)
         W, p = self.W, self.p
         r0 = len(self.pivots)
         cm = (c0 + c1) // 2
-        left, a_inv = self.factor(c0, cm, True)
+        left, a_inv = self.factor(c0, cm)
         c1 = min(c1, self.limit)
         if cm >= c1:
             return left, a_inv
         if left:
             _update(W, p, r0, left, a_inv, cm, c1)
-        right, b_inv = self.factor(cm, c1, invert)
-        if not invert:
-            return left + right, None
+        right, b_inv = self.factor(cm, c1)
         if not (left and right):
             return left + right, a_inv if left else b_inv
         ka, kb = len(left), len(right)
@@ -265,11 +281,12 @@ def _matmod(A, B, p):
 
 
 def _update(W, p, r0, piv, inverse, a, b):
-    """Apply factored pivots to columns [a, b).
+    """Bring columns [a, b) up to date with one factored block of pivots.
 
     Rows r0.. of the pivots hold their triangle T in the pivot columns,
     whose inverse is ``inverse``, and the rows below hold the multipliers
-    L21 there.  The pivot rows become U12 = T^-1 A12, reduced, and the
+    L21 there.  _echelon calls it once per earlier outer block for the
+    outer block it factors next, and factor once per split.  The pivot rows become U12 = T^-1 A12, reduced, and the
     rows below A22 - L21 @ U12 up to a multiple of p, in tiles of at
     most _CHUNK x _CHUNK.
     """

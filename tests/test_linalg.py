@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,63 @@ def test_early_stop_leaves_later_columns_untouched(small_panels):
     W = W0.copy()
     assert _echelon(W, p, degrees)[1:] == ([1], 2)
     assert (W[:, 2:] == W0[:, 2:]).all()
+
+
+def same_columns_up_to_row_swaps(W, W0, start):
+    """Columns start.. of W hold the same multiset of entries as W0's."""
+    return (np.sort(W[:, start:], axis=0) == np.sort(W0[:, start:], axis=0)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_early_stop_in_a_later_block_leaves_the_later_blocks_alone(small_panels, p):
+    # 8-column outer blocks: column 18 is free inside the third block,
+    # [16, 24), and its stratum ends at 21.  The blocks before it reach
+    # only the columns up to the stop's block, so from 24 on only row
+    # swaps move the entries.
+    cols = 40
+    degrees = [0] * 5 + [1] * 16 + [2] * 19  # strata end at 5, 21 and 40
+    A = make_matrix(18, cols + 2, cols, p, dependent=[18])
+    assert check(A, p, degrees)[1:] == ([18], 21)
+    W0 = np.array(A, dtype=np.int64)
+    W = W0.copy()
+    _echelon(W, p, degrees)
+    assert same_columns_up_to_row_swaps(W, W0, 24)
+
+
+def test_early_stop_in_a_later_block_600_columns():
+    # the same at the real block size: column 300 is free inside the
+    # third outer block, [256, 384), and its stratum ends at 320
+    p, cols = P23, 600
+    rng = np.random.default_rng(300)
+    W0 = rng.integers(0, p, size=(cols + 8, cols))
+    a, b = rng.integers(0, 300, size=2)
+    W0[:, 300] = (3 * W0[:, a] + 5 * W0[:, b]) % p
+    degrees = [0] * 320 + [1] * (cols - 320)
+    W = W0.copy()
+    pivots, free, processed = _echelon(W, p, degrees)
+    assert free == [300] and processed == 320
+    assert pivots == [c for c in range(320) if c != 300]
+    for t, j in enumerate(pivots):
+        assert W[t, j] == 1 and not W[t, :j].any()
+    v = _kernel_vector(W, p, pivots, 300).astype(object)
+    assert v[300] == 1 and not v[301:].any()
+    assert not any(x % p for x in W0.astype(object) @ v)
+    assert same_columns_up_to_row_swaps(W, W0, 3 * BLOCK)
+
+
+def test_echelon_allocates_little_beyond_its_matrix():
+    # a 1300 x 1292 solve, the width of a saturated (3,2,2) bound, holds
+    # its tiles, leaf copies and the T^-1 of each outer block: about 1 MB
+    # (tracemalloc), against 13.4 MB for the matrix it eliminates in place
+    p, cols = P23, 1292
+    W = np.random.default_rng(1292).integers(0, p, size=(cols + 8, cols))
+    tracemalloc.start()
+    try:
+        _echelon(W, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_width_limit_of_delayed_reduction():
